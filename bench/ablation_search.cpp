@@ -6,10 +6,10 @@
 // most-constrained-vertex ordering with saturated-facet domain filtering
 // (DESIGN.md §5.4) versus plain fixed-order backtracking.
 //
-// --engine=propagate|learn|portfolio instead pits that seq backtracker
-// (MRV, the strong baseline) against the solvability engine (DESIGN.md
-// §5.17) at the chosen stage, so the propagation / learning / portfolio
-// increments can each be measured in isolation.
+// --engine=propagate|learn instead pits that seq backtracker (MRV, the
+// strong baseline) against the solvability engine (DESIGN.md §5.17) at the
+// chosen stage, so the propagation and learning increments can each be
+// measured in isolation.
 
 #include <memory>
 #include <string>
@@ -150,15 +150,13 @@ int main(int argc, char** argv) {
   util::Cli cli("ablation_search",
                 "Decision-search ablation: seq MRV-vs-fixed, or the "
                 "solvability engine staged against the seq backtracker");
-  cli.flag_choice("engine", &engine,
-                  {"seq", "propagate", "learn", "portfolio"},
+  cli.flag_choice("engine", &engine, {"seq", "propagate", "learn"},
                   "search strategy to ablate");
   cli.parse(argc, argv);
 
   if (engine == "seq") return run_seq_ablation();
-  const solve::EngineStage stage =
-      engine == "propagate"  ? solve::EngineStage::kPropagate
-      : engine == "learn"    ? solve::EngineStage::kLearn
-                             : solve::EngineStage::kPortfolio;
+  const solve::EngineStage stage = engine == "propagate"
+                                      ? solve::EngineStage::kPropagate
+                                      : solve::EngineStage::kLearn;
   return run_engine_ablation(stage, engine);
 }

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   using namespace psph;
 
   std::string model_name = "async";
-  std::string engine_name = "portfolio";
+  std::string engine_name = "learn";
   std::string cache_dir;
   int max_processes = 3;
   int rounds = 1;
@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
                 "with cached, sweep-driven decide queries");
   cli.flag_choice("model", &model_name, {"async", "sync", "semisync", "iis"},
                   "timing model");
-  cli.flag_choice("engine", &engine_name,
-                  {"propagate", "learn", "portfolio"}, "engine stage");
+  cli.flag_choice("engine", &engine_name, {"propagate", "learn"},
+                  "engine stage");
   cli.flag("cache-dir", &cache_dir,
            "ResultStore root shared with psph_serve / other sweeps "
            "(empty = no caching)");
@@ -59,9 +59,7 @@ int main(int argc, char** argv) {
   solve::EngineOptions engine_options;
   engine_options.stage = engine_name == "propagate"
                              ? solve::EngineStage::kPropagate
-                         : engine_name == "learn"
-                             ? solve::EngineStage::kLearn
-                             : solve::EngineStage::kPortfolio;
+                             : solve::EngineStage::kLearn;
 
   // One job per grid point. The JobSpec key doubles as the sweep's cache
   // key; decide() keys its own kDecision entry independently.

@@ -491,7 +491,7 @@ BENCHMARK(BM_SemiSyncExecution)->DenseRange(3, 8);
 // BM_DecisionEngine*: decide k-set agreement on a pre-built, pre-compiled
 // instance — construction is hoisted out of the loop so the numbers time
 // the decision procedures alone. Seq is the seed backtracker on the same
-// complex; Propagate/Learn/Portfolio are the engine stages. The IIS hard
+// complex; Propagate/Learn are the engine stages. The IIS hard
 // case (3 processes, k=2 — the verdict the seq backtracker cannot reach in
 // bounded time) is engine-only.
 
@@ -535,14 +535,9 @@ void BM_DecisionEnginePropagate(benchmark::State& state) {
 void BM_DecisionEngineLearn(benchmark::State& state) {
   decision_engine_stage(state, solve::EngineStage::kLearn);
 }
-void BM_DecisionEnginePortfolio(benchmark::State& state) {
-  decision_engine_stage(state, solve::EngineStage::kPortfolio);
-}
 BENCHMARK(BM_DecisionEnginePropagate)->ArgNames({"n", "f", "k"})
     ->Args({3, 1, 2})->Args({3, 2, 2})->Args({4, 1, 2});
 BENCHMARK(BM_DecisionEngineLearn)->ArgNames({"n", "f", "k"})
-    ->Args({3, 1, 2})->Args({3, 2, 2})->Args({4, 1, 2});
-BENCHMARK(BM_DecisionEnginePortfolio)->ArgNames({"n", "f", "k"})
     ->Args({3, 1, 2})->Args({3, 2, 2})->Args({4, 1, 2});
 
 void BM_DecisionEngineIisHard(benchmark::State& state) {

@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
   std::string engine = "seq";
   util::Cli cli("thm9_decision_search",
                 "Theorem 9: connectivity forbids k-set agreement");
-  cli.flag_choice("engine", &engine,
-                  {"seq", "propagate", "learn", "portfolio"},
+  cli.flag_choice("engine", &engine, {"seq", "propagate", "learn"},
                   "decision-search engine for the verdict column");
   cli.parse(argc, argv);
 
@@ -61,8 +60,7 @@ int main(int argc, char** argv) {
       request.rounds = row.r;
       solve::EngineOptions options;
       options.stage = engine == "propagate" ? solve::EngineStage::kPropagate
-                      : engine == "learn"   ? solve::EngineStage::kLearn
-                                            : solve::EngineStage::kPortfolio;
+                                            : solve::EngineStage::kLearn;
       const store::DecisionRecord record =
           solve::decide(request, options).record;
       impossible = record.exhausted && !record.solvable;

@@ -13,7 +13,7 @@
 //
 // Production solvability queries go through the engine in src/solve
 // (compiled CSP, incremental propagation, conflict-driven orbit-aware
-// learning, portfolio parallelism); this backtracker is kept verbatim as
+// learning); this backtracker is kept verbatim as
 // the oracle its differential suite (tests/solve_test.cpp) compares every
 // engine stage against. Prefer search_decision_map_seq in new call sites —
 // the name records which side of that comparison you are on.

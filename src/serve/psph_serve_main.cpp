@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
   cli.flag("socket", &options.socket_path, "AF_UNIX socket path to listen on");
   cli.flag("store-dir", &options.store_dir,
            "result-store root (empty: serve without a cache)");
-  cli.flag("threads", &threads, "worker threads (0 = hardware concurrency)");
+  cli.flag("threads", &threads,
+           "worker threads (0 = PSPH_THREADS if set, else 1)");
   cli.flag("queue-limit", &queue_limit,
            "queued compute requests before overload rejections");
   cli.flag("batch-max", &batch_max, "max requests per dispatcher batch");

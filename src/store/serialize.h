@@ -64,8 +64,8 @@ enum class PayloadKind : std::uint16_t {
 /// A decided solvability query (solve/decide.h), the payload behind
 /// PayloadKind::kDecision. Holds only deterministic fields — the verdict,
 /// the canonical (lex-min) witness, and the instance parameters echoed for
-/// defence-in-depth on load. Never node counts or portfolio winners, so a
-/// cached record is bit-identical to a recomputed one.
+/// defence-in-depth on load. Never node counts or other search statistics,
+/// so a cached record is bit-identical to a recomputed one.
 struct DecisionRecord {
   std::uint32_t engine_version = 1;
   std::string model;  // "async" | "sync" | "semisync" | "iis"

@@ -1,21 +1,20 @@
 // Differential and behavioral tests for the solvability engine (src/solve).
 //
-// The engine (propagating, learning, portfolio-parallel) must agree with
-// the seed backtracker — search_decision_map_seq, kept verbatim as the
-// oracle — on every oracle-tractable instance: same verdict, and any
-// witness valid vertex-by-vertex (validity) and facet-by-facet (agreement)
-// against the original protocol complex. Witnesses are NOT compared
-// byte-for-byte against the oracle's (the engine canonicalizes to the
-// lex-min decision map; the oracle reports its first find), but they ARE
-// compared across engine stages, seeds, and thread counts, where the
-// canonicalization makes them bit-identical.
+// The engine (propagating, learning) must agree with the seed backtracker
+// — search_decision_map_seq, kept verbatim as the oracle — on every
+// oracle-tractable instance: same verdict, and any witness valid
+// vertex-by-vertex (validity) and facet-by-facet (agreement) against the
+// original protocol complex. Witnesses are NOT compared byte-for-byte
+// against the oracle's (the engine canonicalizes to the lex-min decision
+// map; the oracle reports its first find), but they ARE compared across
+// engine stages and thread counts, where the canonicalization makes them
+// bit-identical.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -28,22 +27,9 @@
 #include "store/store.h"
 #include "util/cancel.h"
 #include "util/parallel.h"
-#include "util/random.h"
 
 namespace psph::solve {
 namespace {
-
-/// Seed for the engine's portfolio diversification: PSPH_TEST_SEED
-/// overrides the fallback, so CI's second-seed pass exercises different
-/// value orders and tie-breaks without a rebuild.
-std::uint64_t test_seed(std::uint64_t fallback) {
-  const char* raw = std::getenv("PSPH_TEST_SEED");
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return parsed;
-}
 
 std::string request_name(const DecideRequest& r) {
   return std::string(model_name(r.model)) + " n1=" +
@@ -53,8 +39,8 @@ std::string request_name(const DecideRequest& r) {
 }
 
 /// The oracle-tractable instance grid the differential suite sweeps: all
-/// four models, both verdicts, multiple rounds. Sized so that grid ×
-/// three engine stages lands around 200 differential cases.
+/// four models, both verdicts, multiple rounds: 74 instances, each run
+/// through both engine stages.
 std::vector<DecideRequest> differential_grid() {
   std::vector<DecideRequest> grid;
   // Asynchronous wait-free (Corollary 13 territory).
@@ -110,15 +96,13 @@ std::vector<DecideRequest> differential_grid() {
   return grid;
 }
 
-EngineOptions stage_options(EngineStage stage, std::uint64_t seed) {
+EngineOptions stage_options(EngineStage stage) {
   EngineOptions options;
   options.stage = stage;
-  options.seed = seed;
   return options;
 }
 
 TEST(SolveDifferential, EveryStageMatchesSeqOracleAcrossAllModels) {
-  const std::uint64_t seed = test_seed(424242);
   core::SearchOptions oracle_options;
   oracle_options.node_limit = 2'000'000;  // tractability cut, not a verdict
 
@@ -133,11 +117,10 @@ TEST(SolveDifferential, EveryStageMatchesSeqOracleAcrossAllModels) {
     }
     const std::unique_ptr<Instance> instance = build_instance(request);
     for (const EngineStage stage :
-         {EngineStage::kPropagate, EngineStage::kLearn,
-          EngineStage::kPortfolio}) {
+         {EngineStage::kPropagate, EngineStage::kLearn}) {
       SCOPED_TRACE(stage_name(stage));
       const SolveOutcome outcome =
-          solve(instance->problem, stage_options(stage, seed));
+          solve(instance->problem, stage_options(stage));
       ++cases;
       ASSERT_TRUE(outcome.exhausted);
       EXPECT_EQ(outcome.solvable, oracle.solvable);
@@ -166,8 +149,8 @@ TEST(SolveDifferential, EveryStageMatchesSeqOracleAcrossAllModels) {
       EXPECT_TRUE(verify_witness(instance->problem, dense).ok);
     }
   }
-  // ~200 differential cases; the grid is fixed, so a shrink is a bug.
-  EXPECT_GE(cases, 190) << "grid shrank: " << cases << " cases, "
+  // 148 differential cases; the grid is fixed, so a shrink is a bug.
+  EXPECT_GE(cases, 140) << "grid shrank: " << cases << " cases, "
                         << oracle_skipped << " oracle-intractable";
   EXPECT_EQ(oracle_skipped, 0)
       << "grid contains instances the oracle cannot decide — move them to "
@@ -177,7 +160,6 @@ TEST(SolveDifferential, EveryStageMatchesSeqOracleAcrossAllModels) {
 TEST(SolveDifferential, StagesAgreeOnTheCanonicalWitnessBytes) {
   // Verdict AND witness are canonical, so the sealed decide record must be
   // bit-identical across stages regardless of search order.
-  const std::uint64_t seed = test_seed(99991);
   const std::vector<DecideRequest> picks = {
       {Model::kAsync, 3, 1, 2, 0, 1},   // solvable with a real witness
       {Model::kAsync, 3, 1, 1, 0, 1},   // impossible
@@ -188,22 +170,16 @@ TEST(SolveDifferential, StagesAgreeOnTheCanonicalWitnessBytes) {
     SCOPED_TRACE(request_name(request));
     std::vector<std::vector<std::uint8_t>> sealed;
     for (const EngineStage stage :
-         {EngineStage::kPropagate, EngineStage::kLearn,
-          EngineStage::kPortfolio}) {
-      sealed.push_back(
-          decide_sealed(request, stage_options(stage, seed)));
+         {EngineStage::kPropagate, EngineStage::kLearn}) {
+      sealed.push_back(decide_sealed(request, stage_options(stage)));
     }
     EXPECT_EQ(sealed[0], sealed[1]);
-    EXPECT_EQ(sealed[1], sealed[2]);
-    // And across a different diversification seed.
-    EXPECT_EQ(sealed[0],
-              decide_sealed(request, stage_options(EngineStage::kPortfolio,
-                                                   seed ^ 0xDEADBEEF)));
   }
 }
 
-TEST(SolvePortfolio, VerdictAndWitnessBitIdenticalAcrossThreadCounts) {
-  const std::uint64_t seed = test_seed(31337);
+TEST(SolveEngine, SealedBytesIdenticalAcrossThreadCounts) {
+  // The search itself is single-threaded, but construction fans out across
+  // the pool; the sealed record must not depend on the thread count.
   const std::vector<DecideRequest> picks = {
       {Model::kAsync, 3, 1, 2, 0, 1},
       {Model::kAsync, 3, 2, 2, 0, 1},
@@ -218,8 +194,7 @@ TEST(SolvePortfolio, VerdictAndWitnessBitIdenticalAcrossThreadCounts) {
     for (const DecideRequest& request : picks) {
       SCOPED_TRACE(request_name(request) + " threads=" +
                    std::to_string(threads));
-      std::vector<std::uint8_t> sealed =
-          decide_sealed(request, stage_options(EngineStage::kPortfolio, seed));
+      std::vector<std::uint8_t> sealed = decide_sealed(request);
       if (threads == 1) {
         baseline.push_back(std::move(sealed));
       } else {
@@ -243,11 +218,10 @@ TEST(SolveEngine, DeadlineFiresMidPropagationNotJustPerNode) {
       build_instance({Model::kAsync, 3, 1, 2, 0, 1});
   util::DeadlineScope deadline(std::chrono::steady_clock::now());
   EXPECT_THROW(solve(instance->problem), util::DeadlineExceeded);
-  // The deadline outranks the portfolio's internal cancellation: no stage
-  // may swallow it and report a verdict.
+  // No stage may swallow the deadline and report a verdict.
   for (const EngineStage stage :
        {EngineStage::kPropagate, EngineStage::kLearn}) {
-    EXPECT_THROW(solve(instance->problem, stage_options(stage, 1)),
+    EXPECT_THROW(solve(instance->problem, stage_options(stage)),
                  util::DeadlineExceeded);
   }
 }
@@ -368,9 +342,9 @@ TEST(SolveHardInstance, EngineDecidesWhereTheOracleDrowns) {
   // than k), but the seed backtracker must enumerate an enormous branch
   // space to prove it: it returns undecided at a 200k-node budget here,
   // and at the 2M-node budget the differential suite uses it burns minutes
-  // without exhausting. The engine's propagation plus symmetric learning
-  // refutes the instance outright — this is the separation the engine
-  // exists for. The verdict asserted is the known impossibility, so a
+  // without exhausting. The engine's propagation and root probing refute
+  // the instance outright at either stage — this is the separation the
+  // engine exists for. The verdict asserted is the known impossibility, so a
   // compilation bug that dropped constraints (making the instance
   // spuriously solvable) fails here even without an oracle to compare to.
   const DecideRequest request{Model::kIis, 3, 0, 2, 0, 1};
@@ -381,10 +355,10 @@ TEST(SolveHardInstance, EngineDecidesWhereTheOracleDrowns) {
 
   const std::unique_ptr<Instance> instance = build_instance(request);
   for (const EngineStage stage :
-       {EngineStage::kLearn, EngineStage::kPortfolio}) {
+       {EngineStage::kPropagate, EngineStage::kLearn}) {
     SCOPED_TRACE(stage_name(stage));
     const SolveOutcome outcome =
-        solve(instance->problem, stage_options(stage, test_seed(7)));
+        solve(instance->problem, stage_options(stage));
     EXPECT_TRUE(outcome.exhausted);
     EXPECT_FALSE(outcome.solvable);
   }
