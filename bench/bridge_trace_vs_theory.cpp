@@ -5,6 +5,7 @@
 
 #include "bench_util.h"
 #include "core/async_complex.h"
+#include "core/construction.h"
 #include "core/semisync_complex.h"
 #include "core/sync_complex.h"
 #include "core/theorems.h"

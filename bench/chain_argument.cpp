@@ -6,6 +6,7 @@
 #include "bench_util.h"
 #include "core/async_complex.h"
 #include "core/chains.h"
+#include "core/construction.h"
 #include "core/pseudosphere.h"
 #include "core/sync_complex.h"
 #include "core/theorems.h"

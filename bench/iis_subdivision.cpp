@@ -7,6 +7,7 @@
 
 #include "bench_util.h"
 #include "core/async_complex.h"
+#include "core/construction.h"
 #include "core/decision_search.h"
 #include "core/iis_complex.h"
 #include "core/theorems.h"

@@ -40,8 +40,9 @@ int main(int argc, char** argv) {
                  mode.c_str());
     return 2;
   }
-  core::ConstructionOptions construction;
-  if (mode == "orbit") construction.mode = core::ConstructionMode::kOrbit;
+  const core::ConstructionMode construction =
+      mode == "orbit" ? core::ConstructionMode::kOrbit
+                      : core::ConstructionMode::kFull;
   // The backend is part of the job identity: cached verdicts from the two
   // pipelines must never alias, even though their values agree.
   const std::int64_t mode_param = mode == "orbit" ? 1 : 0;

@@ -44,6 +44,25 @@ std::string fvec_string(const std::vector<std::size_t>& fvec) {
   return out + "]";
 }
 
+// Removes a spool directory this run created itself once the spool that
+// fills it is gone. Never given a user-supplied --spool-dir.
+class OwnedTempDir {
+ public:
+  OwnedTempDir() = default;
+  OwnedTempDir(const OwnedTempDir&) = delete;
+  OwnedTempDir& operator=(const OwnedTempDir&) = delete;
+  ~OwnedTempDir() {
+    if (path_.empty()) return;
+    std::error_code ec;  // best effort: a leftover directory is disk noise
+    std::filesystem::remove_all(path_, ec);
+  }
+
+  void adopt(std::filesystem::path path) { path_ = std::move(path); }
+
+ private:
+  std::filesystem::path path_;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -77,7 +96,8 @@ int main(int argc, char** argv) {
            "spill the inter-level frontier in chunks of ~budget/2 bytes "
            "(0 = keep in RAM)");
   cli.flag("spool-dir", &spool_dir,
-           "directory for spilled chunks (default: a fresh temp dir)");
+           "directory for spilled chunks (default: a fresh temp dir, "
+           "removed at exit)");
   cli.flag("verify-full", &verify_full,
            "also run the full pipeline and require identical counts");
   cli.flag("json-out", &json_out, "write a JSON record of the run here");
@@ -96,13 +116,17 @@ int main(int argc, char** argv) {
 
   core::ConstructionOptions options;
   options.frontier_budget_bytes = static_cast<std::size_t>(frontier_budget);
+  // Declared before the spool so the spool (which empties the directory)
+  // is destroyed first.
+  OwnedTempDir temp_spool_dir;
   std::unique_ptr<store::FrontierSpool> spool;
   if (frontier_budget > 0) {
-    std::filesystem::path dir = spool_dir.empty()
-                                    ? std::filesystem::temp_directory_path() /
-                                          ("psph_orbit_wall_" +
-                                           std::to_string(::getpid()))
-                                    : std::filesystem::path(spool_dir);
+    std::filesystem::path dir(spool_dir);
+    if (spool_dir.empty()) {
+      dir = std::filesystem::temp_directory_path() /
+            ("psph_orbit_wall_" + std::to_string(::getpid()));
+      temp_spool_dir.adopt(dir);
+    }
     spool = std::make_unique<store::FrontierSpool>(store::FsOps::real(),
                                                    std::move(dir));
     options.storage = spool.get();
@@ -118,7 +142,6 @@ int main(int argc, char** argv) {
 
   core::ViewRegistry views;
   topology::VertexArena arena;
-  core::ConstructionCache cache;
   const topology::Simplex input = core::rainbow_input(m1, views, arena);
   const core::AsyncParams async_params{n1, f, rounds};
   const core::SyncParams sync_params{n1, rounds * k, k, rounds};
@@ -134,23 +157,22 @@ int main(int argc, char** argv) {
   double fvector_seconds = 0;
 
   if (mode == "orbit") {
-    options.mode = core::ConstructionMode::kOrbit;
     util::Timer build_timer;
     core::OrbitComplexResult result = [&] {
       if (model == "async") {
         return core::async_protocol_complex_orbit(input, async_params, views,
-                                                  arena, cache, options);
+                                                  arena, options);
       }
       if (model == "sync") {
         return core::sync_protocol_complex_orbit(input, sync_params, views,
-                                                 arena, cache, options);
+                                                 arena, options);
       }
       if (model == "semisync") {
-        return core::semisync_protocol_complex_orbit(
-            input, semisync_params, views, arena, cache, options);
+        return core::semisync_protocol_complex_orbit(input, semisync_params,
+                                                     views, arena, options);
       }
       return core::iis_protocol_complex_orbit(input, rounds, views, arena,
-                                              cache, options);
+                                              options);
     }();
     build_seconds = build_timer.seconds();
     group_order = result.group.size();
@@ -171,18 +193,17 @@ int main(int argc, char** argv) {
     const topology::SimplicialComplex complex = [&] {
       if (model == "async") {
         return core::async_protocol_complex(input, async_params, views, arena,
-                                            cache, options);
+                                            options);
       }
       if (model == "sync") {
         return core::sync_protocol_complex(input, sync_params, views, arena,
-                                           cache, options);
+                                           options);
       }
       if (model == "semisync") {
         return core::semisync_protocol_complex(input, semisync_params, views,
-                                               arena, cache, options);
+                                               arena, options);
       }
-      return core::iis_protocol_complex(input, rounds, views, arena, cache,
-                                        options);
+      return core::iis_protocol_complex(input, rounds, views, arena, options);
     }();
     build_seconds = build_timer.seconds();
     full_facets = complex.facet_count();
@@ -211,27 +232,24 @@ int main(int argc, char** argv) {
   if (verify_full) {
     core::ViewRegistry full_views;
     topology::VertexArena full_arena;
-    core::ConstructionCache full_cache;
     const topology::Simplex full_input =
         core::rainbow_input(m1, full_views, full_arena);
     util::Timer verify_timer;
     const topology::SimplicialComplex complex = [&] {
       if (model == "async") {
         return core::async_protocol_complex(full_input, async_params,
-                                            full_views, full_arena,
-                                            full_cache);
+                                            full_views, full_arena);
       }
       if (model == "sync") {
         return core::sync_protocol_complex(full_input, sync_params, full_views,
-                                           full_arena, full_cache);
+                                           full_arena);
       }
       if (model == "semisync") {
         return core::semisync_protocol_complex(full_input, semisync_params,
-                                               full_views, full_arena,
-                                               full_cache);
+                                               full_views, full_arena);
       }
       return core::iis_protocol_complex(full_input, rounds, full_views,
-                                        full_arena, full_cache);
+                                        full_arena);
     }();
     verify_seconds = verify_timer.seconds();
     report.check(complex.facet_count() == full_facets,

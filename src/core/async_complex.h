@@ -37,24 +37,13 @@ topology::SimplicialComplex async_round_complex(const topology::Simplex& input,
                                                 ViewRegistry& views,
                                                 topology::VertexArena& arena);
 
-/// A^r(S): the r-round complex by the inductive construction. Runs the
-/// parallel, memoized pipeline of construction.h (with a private cache);
-/// output is bit-identical to the sequential reference at any thread count.
-topology::SimplicialComplex async_protocol_complex(
-    const topology::Simplex& input, const AsyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena);
-
 /// Sequential depth-first reference construction of A^r(S). Kept as the
 /// correctness oracle for the pipeline (tests) and as the benchmark
-/// baseline; always single-threaded, never memoized.
+/// baseline; always single-threaded. The pipeline builds
+/// (async_protocol_complex, async_protocol_complex_over) are declared in
+/// core/construction.h.
 topology::SimplicialComplex async_protocol_complex_seq(
     const topology::Simplex& input, const AsyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena);
-
-/// P(I): union of A^r over every facet of an input complex (Section 4's
-/// P(I) for the subset of well-behaved executions).
-topology::SimplicialComplex async_protocol_complex_over(
-    const topology::SimplicialComplex& inputs, const AsyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena);
 
 /// Facet count predicted by Lemma 11 for an input facet with m+1

@@ -10,19 +10,16 @@
 
 #include "obs/obs.h"
 #include "util/cancel.h"
+#include "util/hash.h"
 #include "util/parallel.h"
 
 namespace psph::core {
 
 namespace {
 
-// Pipeline observability (obs.h): one span per level phase, counters
-// mirroring the ConstructionStats the memo cache keeps per-instance, so a
-// --stats/--trace-out run shows cache behaviour aggregated across every
-// cache the process touched.
+// Pipeline observability (obs.h): one span per level phase, plus counters
+// for the frontier items each level sees and the duplicates DEDUPE drops.
 obs::Counter g_obs_frontier("construction.frontier_items");
-obs::Counter g_obs_hits("construction.cache_hits");
-obs::Counter g_obs_misses("construction.cache_misses");
 obs::Counter g_obs_deduped("construction.deduped");
 obs::Gauge g_obs_level_width("construction.level_width");
 // Orbit-quotient and spill observability.
@@ -32,7 +29,7 @@ obs::Counter g_obs_spill_chunks_written("construction.spill_chunks_written");
 obs::Counter g_obs_spill_chunks_read("construction.spill_chunks_read");
 obs::Counter g_obs_spill_bytes_written("construction.spill_bytes_written");
 
-// Packs up to four small model parameters into one cache-key word. All the
+// Packs up to four small model parameters into one dedupe-key word. All the
 // packed quantities (process counts, failure budgets, microrounds) are tiny
 // non-negative ints, so 16 bits each is ample.
 std::uint64_t pack16(int a, int b, int c, int d) {
@@ -48,15 +45,14 @@ int unpack16(std::uint64_t key, int slot) {
 
 // Model adapters: everything the generic driver needs to know about one
 // model. params_key must cover every parameter the one-round expansion
-// depends on *except* the remaining round count (entries are one-round
-// expansions, reusable at any depth); child() advances the params across
-// one round given the failures the adversary group consumed; unpack()
-// inverts params_key + rounds, which is how spilled frontier items get
-// their Params back after a chunk round-trip.
+// depends on *except* the remaining round count (which every item of one
+// level shares); child() advances the params across one round given the
+// failures the adversary group consumed; unpack() inverts params_key +
+// rounds, which is how spilled frontier items get their Params back after a
+// chunk round-trip.
 
 struct AsyncModel {
   using Params = AsyncParams;
-  static constexpr std::uint8_t kTag = 1;
   static std::uint64_t params_key(const Params& p) {
     return pack16(p.num_processes, p.max_failures, 0, 0);
   }
@@ -82,7 +78,6 @@ struct AsyncModel {
 
 struct SyncModel {
   using Params = SyncParams;
-  static constexpr std::uint8_t kTag = 2;
   static std::uint64_t params_key(const Params& p) {
     return pack16(p.num_processes, p.total_failures, p.failures_per_round, 0);
   }
@@ -110,7 +105,6 @@ struct SyncModel {
 
 struct SemiSyncModel {
   using Params = SemiSyncParams;
-  static constexpr std::uint8_t kTag = 3;
   static std::uint64_t params_key(const Params& p) {
     return pack16(p.num_processes, p.total_failures, p.failures_per_round,
                   p.micro_rounds);
@@ -144,7 +138,6 @@ struct IisParams {
 
 struct IisModel {
   using Params = IisParams;
-  static constexpr std::uint8_t kTag = 4;
   static std::uint64_t params_key(const Params&) { return 0; }
   static Params unpack(std::uint64_t /*key*/, int rounds) {
     return Params{rounds};
@@ -323,14 +316,21 @@ struct ScratchOut {
   std::vector<detail::RoundGroup> groups;
 };
 
-template <typename Model>
-ConstructionCache::Key make_key(const topology::Simplex& facet,
-                                const typename Model::Params& params,
-                                ConstructionMode mode) {
-  return ConstructionCache::Key{Model::kTag,
-                                static_cast<std::uint8_t>(mode),
-                                Model::params_key(params), facet.vertices()};
-}
+// DEDUPE key: the packed params plus the facet. The model is fixed within
+// a run and the round count within a level, so nothing else can differ.
+struct DedupeKey {
+  std::uint64_t params = 0;
+  topology::Simplex facet;
+
+  bool operator==(const DedupeKey& other) const = default;
+};
+
+struct DedupeKeyHash {
+  std::size_t operator()(const DedupeKey& key) const {
+    return util::hash_combine(std::hash<std::uint64_t>{}(key.params),
+                              topology::SimplexHash{}(key.facet));
+  }
+};
 
 // Orbit-mode accumulation: canonical representatives of the final-round
 // facets, first-seen order, deduplicated by representative.
@@ -358,12 +358,9 @@ template <typename Model>
 void run_pipeline(
     std::vector<std::pair<topology::Simplex, typename Model::Params>> seeds,
     ViewRegistry& views, topology::VertexArena& arena,
-    ConstructionCache& cache, const ConstructionOptions& options,
-    topology::SimplicialComplex* full_out, OrbitAccum* orbit) {
+    const ConstructionOptions& options, topology::SimplicialComplex* full_out,
+    OrbitAccum* orbit) {
   using Params = typename Model::Params;
-  cache.bind(views, arena);
-  const ConstructionMode mode =
-      orbit != nullptr ? ConstructionMode::kOrbit : ConstructionMode::kFull;
 
   InMemoryFrontierStorage fallback_storage;
   FrontierStorage* storage = options.storage != nullptr
@@ -376,7 +373,6 @@ void run_pipeline(
   struct Item {
     topology::Simplex facet;
     Params params;
-    ConstructionCache::Key key;
   };
 
   while (!queue.empty()) {
@@ -399,36 +395,19 @@ void run_pipeline(
     items.reserve(queue.size());
     {
       obs::SpanTimer span("construction.dedupe");
-      std::unordered_set<ConstructionCache::Key, ConstructionCache::KeyHash>
-          seen;
+      std::unordered_set<DedupeKey, DedupeKeyHash> seen;
       seen.reserve(queue.size());
       queue.drain([&](topology::Simplex facet, const Params& params) {
         if (orbit != nullptr) {
           facet = orbit->ctx->canonicalize(facet).rep;
           g_obs_orbit_canonicalized.add(1);
         }
-        ConstructionCache::Key key = make_key<Model>(facet, params, mode);
-        if (!seen.insert(key).second) {
-          cache.note_dedup(mode);
+        if (!seen.insert(DedupeKey{Model::params_key(params), facet}).second) {
           g_obs_deduped.add(1);
           return;
         }
-        items.push_back(Item{std::move(facet), params, std::move(key)});
+        items.push_back(Item{std::move(facet), params});
       });
-    }
-
-    // LOOKUP.
-    std::vector<std::size_t> miss;
-    {
-      obs::SpanTimer span("construction.lookup");
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        if (cache.lookup(items[i].key) == nullptr) {
-          miss.push_back(i);
-          g_obs_misses.add(1);
-        } else {
-          g_obs_hits.add(1);
-        }
-      }
     }
 
     // EXPAND. The canonical registries are frozen for the duration; scratch
@@ -436,12 +415,12 @@ void run_pipeline(
     // path. Each worker writes its own ScratchOut slot.
     const std::size_t views_base = views.size();
     const std::size_t arena_base = arena.size();
-    std::vector<ScratchOut> scratch(miss.size());
+    std::vector<ScratchOut> scratch(items.size());
     {
       obs::SpanTimer span("construction.expand",
-                          static_cast<std::int64_t>(miss.size()));
-      util::parallel_for(miss.size(), [&](std::size_t j) {
-        const Item& item = items[miss[j]];
+                          static_cast<std::int64_t>(items.size()));
+      util::parallel_for(items.size(), [&](std::size_t j) {
+        const Item& item = items[j];
         ScratchViews scratch_views(views);
         ScratchArena scratch_arena(arena);
         Model::expand(item.facet, item.params, scratch_views, scratch_arena,
@@ -455,7 +434,7 @@ void run_pipeline(
     // *pre-expansion* base sizes, which every overlay saw identically.
     {
       obs::SpanTimer remap_span("construction.remap");
-      for (std::size_t j = 0; j < miss.size(); ++j) {
+      for (std::size_t j = 0; j < items.size(); ++j) {
         ScratchOut& out = scratch[j];
 
         // New views reference only canonical parent states (a round's views
@@ -491,33 +470,32 @@ void run_pipeline(
             facet = topology::Simplex(std::move(mapped));
           }
         }
-
-        cache.store(items[miss[j]].key,
-                    ConstructionCache::Entry{std::move(out.groups)});
       }
     }
 
-    // CONSUME.
+    // CONSUME. Each item's remapped groups are used once and freed with the
+    // level.
     obs::SpanTimer consume_span("construction.consume");
-    for (const Item& item : items) {
-      const ConstructionCache::Entry* entry = cache.peek(item.key);
-      if (Model::rounds(item.params) == 1) {
+    for (std::size_t j = 0; j < items.size(); ++j) {
+      const Params& params = items[j].params;
+      std::vector<detail::RoundGroup>& groups = scratch[j].groups;
+      if (Model::rounds(params) == 1) {
         if (orbit != nullptr) {
-          for (const detail::RoundGroup& group : entry->groups) {
+          for (const detail::RoundGroup& group : groups) {
             for (const topology::Simplex& facet : group.facets) {
               orbit->add_final(facet);
             }
           }
         } else {
-          for (const detail::RoundGroup& group : entry->groups) {
-            full_out->add_facets(group.facets);
+          for (detail::RoundGroup& group : groups) {
+            full_out->add_facets(std::move(group.facets));
           }
         }
       } else {
-        for (const detail::RoundGroup& group : entry->groups) {
-          const Params child = Model::child(item.params, group.failures_used);
-          for (const topology::Simplex& facet : group.facets) {
-            queue.push(facet, child);
+        for (detail::RoundGroup& group : groups) {
+          const Params child = Model::child(params, group.failures_used);
+          for (topology::Simplex& facet : group.facets) {
+            queue.push(std::move(facet), child);
           }
         }
       }
@@ -536,21 +514,13 @@ std::vector<std::pair<topology::Simplex, typename Model::Params>> seed_all(
   return frontier;
 }
 
-void require_full_mode(const ConstructionOptions& options, const char* who) {
-  if (options.mode != ConstructionMode::kFull) {
-    throw std::invalid_argument(std::string(who) +
-                                ": options.mode must be kFull here; use the "
-                                "*_orbit entry points for orbit mode");
-  }
-}
-
 template <typename Model>
 topology::SimplicialComplex run_full(
     std::vector<std::pair<topology::Simplex, typename Model::Params>> seeds,
     ViewRegistry& views, topology::VertexArena& arena,
-    ConstructionCache& cache, const ConstructionOptions& options) {
+    const ConstructionOptions& options) {
   topology::SimplicialComplex result;
-  run_pipeline<Model>(std::move(seeds), views, arena, cache, options, &result,
+  run_pipeline<Model>(std::move(seeds), views, arena, options, &result,
                       nullptr);
   return result;
 }
@@ -607,16 +577,14 @@ OrbitComplexResult run_orbit(
     SymmetryGroup group,
     std::vector<std::pair<topology::Simplex, typename Model::Params>> seeds,
     ViewRegistry& views, topology::VertexArena& arena,
-    ConstructionCache& cache, const ConstructionOptions& options) {
+    const ConstructionOptions& options) {
   OrbitComplexResult result;
   result.group = group;
   OrbitContext ctx(std::move(group), views, arena);
   OrbitAccum accum;
   accum.ctx = &ctx;
-  ConstructionOptions orbit_options = options;
-  orbit_options.mode = ConstructionMode::kOrbit;
-  run_pipeline<Model>(std::move(seeds), views, arena, cache, orbit_options,
-                      nullptr, &accum);
+  run_pipeline<Model>(std::move(seeds), views, arena, options, nullptr,
+                      &accum);
   finish_orbit_result(accum, ctx, result.group.size(), result);
   return result;
 }
@@ -669,199 +637,179 @@ topology::SimplicialComplex reconstitute_full(const OrbitComplexResult& result,
 
 topology::SimplicialComplex async_protocol_complex(
     const topology::Simplex& input, const AsyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options) {
   if (params.rounds < 1) {
     throw std::invalid_argument("async_protocol_complex: rounds < 1");
   }
-  require_full_mode(options, "async_protocol_complex");
-  return run_full<AsyncModel>({{input, params}}, views, arena, cache, options);
+  return run_full<AsyncModel>({{input, params}}, views, arena, options);
 }
 
 topology::SimplicialComplex async_protocol_complex_over(
     const topology::SimplicialComplex& inputs, const AsyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options) {
   if (params.rounds < 1) {
     throw std::invalid_argument("async_protocol_complex: rounds < 1");
   }
-  require_full_mode(options, "async_protocol_complex_over");
   return run_full<AsyncModel>(seed_all<AsyncModel>(inputs, params), views,
-                              arena, cache, options);
+                              arena, options);
 }
 
 topology::SimplicialComplex sync_protocol_complex(
     const topology::Simplex& input, const SyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options) {
   if (params.rounds < 1) {
     throw std::invalid_argument("sync_protocol_complex: rounds < 1");
   }
-  require_full_mode(options, "sync_protocol_complex");
-  return run_full<SyncModel>({{input, params}}, views, arena, cache, options);
+  return run_full<SyncModel>({{input, params}}, views, arena, options);
 }
 
 topology::SimplicialComplex sync_protocol_complex_over(
     const topology::SimplicialComplex& inputs, const SyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options) {
   if (params.rounds < 1) {
     throw std::invalid_argument("sync_protocol_complex: rounds < 1");
   }
-  require_full_mode(options, "sync_protocol_complex_over");
   return run_full<SyncModel>(seed_all<SyncModel>(inputs, params), views, arena,
-                             cache, options);
+                             options);
 }
 
 topology::SimplicialComplex semisync_protocol_complex(
     const topology::Simplex& input, const SemiSyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options) {
   if (params.rounds < 1) {
     throw std::invalid_argument("semisync_protocol_complex: rounds < 1");
   }
-  require_full_mode(options, "semisync_protocol_complex");
-  return run_full<SemiSyncModel>({{input, params}}, views, arena, cache,
-                                 options);
+  return run_full<SemiSyncModel>({{input, params}}, views, arena, options);
 }
 
 topology::SimplicialComplex semisync_protocol_complex_over(
     const topology::SimplicialComplex& inputs, const SemiSyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options) {
   if (params.rounds < 1) {
     throw std::invalid_argument("semisync_protocol_complex: rounds < 1");
   }
-  require_full_mode(options, "semisync_protocol_complex_over");
   return run_full<SemiSyncModel>(seed_all<SemiSyncModel>(inputs, params),
-                                 views, arena, cache, options);
+                                 views, arena, options);
 }
 
 topology::SimplicialComplex iis_protocol_complex(
     const topology::Simplex& input, int rounds, ViewRegistry& views,
-    topology::VertexArena& arena, ConstructionCache& cache,
-    const ConstructionOptions& options) {
+    topology::VertexArena& arena, const ConstructionOptions& options) {
   if (rounds < 1) {
     throw std::invalid_argument("iis_protocol_complex: rounds < 1");
   }
-  require_full_mode(options, "iis_protocol_complex");
-  return run_full<IisModel>({{input, IisParams{rounds}}}, views, arena, cache,
+  return run_full<IisModel>({{input, IisParams{rounds}}}, views, arena,
                             options);
 }
 
 topology::SimplicialComplex iis_protocol_complex_over(
     const topology::SimplicialComplex& inputs, int rounds, ViewRegistry& views,
-    topology::VertexArena& arena, ConstructionCache& cache,
-    const ConstructionOptions& options) {
+    topology::VertexArena& arena, const ConstructionOptions& options) {
   if (rounds < 1) {
     throw std::invalid_argument("iis_protocol_complex: rounds < 1");
   }
-  require_full_mode(options, "iis_protocol_complex_over");
-  std::vector<std::pair<topology::Simplex, IisParams>> frontier;
-  for (const topology::Simplex& facet : inputs.facets()) {
-    frontier.emplace_back(facet, IisParams{rounds});
-  }
-  return run_full<IisModel>(std::move(frontier), views, arena, cache, options);
+  return run_full<IisModel>(seed_all<IisModel>(inputs, IisParams{rounds}),
+                            views, arena, options);
 }
 
 OrbitComplexResult async_protocol_complex_orbit(
     const topology::Simplex& input, const AsyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options) {
   if (params.rounds < 1) {
     throw std::invalid_argument("async_protocol_complex_orbit: rounds < 1");
   }
   return run_orbit<AsyncModel>(
       SymmetryGroup::for_input_facet(input, views, arena), {{input, params}},
-      views, arena, cache, options);
+      views, arena, options);
 }
 
 OrbitComplexResult async_protocol_complex_orbit_over(
     const topology::SimplicialComplex& inputs, const AsyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options) {
   if (params.rounds < 1) {
     throw std::invalid_argument("async_protocol_complex_orbit: rounds < 1");
   }
   return run_orbit<AsyncModel>(
       SymmetryGroup::for_input_complex(inputs, views, arena),
-      seed_all<AsyncModel>(inputs, params), views, arena, cache, options);
+      seed_all<AsyncModel>(inputs, params), views, arena, options);
 }
 
 OrbitComplexResult sync_protocol_complex_orbit(
     const topology::Simplex& input, const SyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options) {
   if (params.rounds < 1) {
     throw std::invalid_argument("sync_protocol_complex_orbit: rounds < 1");
   }
   return run_orbit<SyncModel>(
       SymmetryGroup::for_input_facet(input, views, arena), {{input, params}},
-      views, arena, cache, options);
+      views, arena, options);
 }
 
 OrbitComplexResult sync_protocol_complex_orbit_over(
     const topology::SimplicialComplex& inputs, const SyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options) {
   if (params.rounds < 1) {
     throw std::invalid_argument("sync_protocol_complex_orbit: rounds < 1");
   }
   return run_orbit<SyncModel>(
       SymmetryGroup::for_input_complex(inputs, views, arena),
-      seed_all<SyncModel>(inputs, params), views, arena, cache, options);
+      seed_all<SyncModel>(inputs, params), views, arena, options);
 }
 
 OrbitComplexResult semisync_protocol_complex_orbit(
     const topology::Simplex& input, const SemiSyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options) {
   if (params.rounds < 1) {
     throw std::invalid_argument("semisync_protocol_complex_orbit: rounds < 1");
   }
   return run_orbit<SemiSyncModel>(
       SymmetryGroup::for_input_facet(input, views, arena), {{input, params}},
-      views, arena, cache, options);
+      views, arena, options);
 }
 
 OrbitComplexResult semisync_protocol_complex_orbit_over(
     const topology::SimplicialComplex& inputs, const SemiSyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options) {
   if (params.rounds < 1) {
     throw std::invalid_argument("semisync_protocol_complex_orbit: rounds < 1");
   }
   return run_orbit<SemiSyncModel>(
       SymmetryGroup::for_input_complex(inputs, views, arena),
-      seed_all<SemiSyncModel>(inputs, params), views, arena, cache, options);
+      seed_all<SemiSyncModel>(inputs, params), views, arena, options);
 }
 
 OrbitComplexResult iis_protocol_complex_orbit(
     const topology::Simplex& input, int rounds, ViewRegistry& views,
-    topology::VertexArena& arena, ConstructionCache& cache,
-    const ConstructionOptions& options) {
+    topology::VertexArena& arena, const ConstructionOptions& options) {
   if (rounds < 1) {
     throw std::invalid_argument("iis_protocol_complex_orbit: rounds < 1");
   }
   return run_orbit<IisModel>(
       SymmetryGroup::for_input_facet(input, views, arena),
-      {{input, IisParams{rounds}}}, views, arena, cache, options);
+      {{input, IisParams{rounds}}}, views, arena, options);
 }
 
 OrbitComplexResult iis_protocol_complex_orbit_over(
     const topology::SimplicialComplex& inputs, int rounds, ViewRegistry& views,
-    topology::VertexArena& arena, ConstructionCache& cache,
-    const ConstructionOptions& options) {
+    topology::VertexArena& arena, const ConstructionOptions& options) {
   if (rounds < 1) {
     throw std::invalid_argument("iis_protocol_complex_orbit: rounds < 1");
   }
-  std::vector<std::pair<topology::Simplex, IisParams>> frontier;
-  for (const topology::Simplex& facet : inputs.facets()) {
-    frontier.emplace_back(facet, IisParams{rounds});
-  }
   return run_orbit<IisModel>(
       SymmetryGroup::for_input_complex(inputs, views, arena),
-      std::move(frontier), views, arena, cache, options);
+      seed_all<IisModel>(inputs, IisParams{rounds}), views, arena, options);
 }
 
 }  // namespace psph::core

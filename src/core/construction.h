@@ -1,29 +1,27 @@
 #pragma once
 
-// Parallel, memoized multi-round protocol-complex construction.
+// Parallel multi-round protocol-complex construction.
 //
 // The r-round complexes of every model are inductive unions: expand each
 // facet of the one-round complex by another round, recursively. The naive
 // recursion (kept as the *_protocol_complex_seq reference functions) is
 // depth-first and serial. This module replaces it with a level-synchronous
-// pipeline that is parallel across facets and memoized across repeated
-// facets, while producing *bit-identical* registries, arenas, and complexes
+// pipeline that is parallel across facets and expands each repeated facet
+// once, while producing *bit-identical* registries, arenas, and complexes
 // at any thread count:
 //
 //   1. DEDUPE   — the frontier (all facets awaiting one round of expansion)
 //                 is deduplicated by (facet, model params). Hash-consing
 //                 makes repeated facets common from round 2 on.
-//   2. LOOKUP   — each unique item is looked up in the ConstructionCache;
-//                 hits skip expansion entirely.
-//   3. EXPAND   — cache misses are expanded concurrently via
+//   2. EXPAND   — the unique items are expanded concurrently via
 //                 util::parallel_for. Each worker runs the shared one-round
 //                 expander (round_ops.h) against a ScratchViews /
 //                 ScratchArena overlay: reads resolve against the frozen
 //                 canonical registries (const-thread-safe find()); newly
 //                 created views and vertices intern into thread-local
 //                 overlay storage with ids offset past the canonical sizes.
-//   4. REMAP    — a serial pass walks the missed items in frontier order
-//                 and interns each overlay's views and vertices into the
+//   3. REMAP    — a serial pass walks the items in frontier order and
+//                 interns each overlay's views and vertices into the
 //                 canonical registries in creation order, then rewrites the
 //                 produced facets through the resulting id maps. Because
 //                 both the frontier order and each overlay's creation order
@@ -31,16 +29,14 @@
 //                 never depend on thread scheduling. (A new round's views
 //                 only ever reference canonical parent states, never each
 //                 other, so no heard-list rewriting is required.)
-//   5. CONSUME  — final-round items merge their facets into the result via
+//   4. CONSUME  — final-round items merge their facets into the result via
 //                 SimplicialComplex::add_facets (bulk fast lane); earlier
 //                 rounds enqueue children with the failure budget reduced
-//                 per adversary group.
+//                 per adversary group. A level's expansions are dropped
+//                 once it has been consumed.
 //
-// The cache entry for (facet, params-minus-rounds) is the canonical
-// one-round expansion, valid for the lifetime of the bound registry/arena
-// pair — re-expansion is idempotent under hash-consing, which is what makes
-// memoization sound. Shared across calls, the cache also accelerates
-// sweeps that revisit the same parameter region.
+// DEDUPE makes every level's items unique, and items of different levels
+// never share states, so no expansion is ever repeated within a build.
 
 // Two additions ride on the same level loop (DESIGN §5.16):
 //
@@ -76,13 +72,14 @@
 #include "topology/arena.h"
 #include "topology/complex.h"
 #include "topology/simplex.h"
-#include "util/hash.h"
 
 namespace psph::core {
 
-/// How the level-synchronous pipeline treats the frontier.
+/// How the level-synchronous pipeline treats the frontier. The builders'
+/// names fix it (plain vs. *_orbit entry points); callers that choose at run
+/// time, such as the check_*_connectivity functions, take this value.
 enum class ConstructionMode : std::uint8_t {
-  kFull = 0,   // expand every deduplicated facet (the PR-4 pipeline)
+  kFull = 0,   // expand every deduplicated facet
   kOrbit = 1,  // expand one canonical representative per symmetry orbit
 };
 
@@ -126,7 +123,6 @@ class InMemoryFrontierStorage final : public FrontierStorage {
 };
 
 struct ConstructionOptions {
-  ConstructionMode mode = ConstructionMode::kFull;
   /// 0 keeps the whole next-level frontier in RAM (the historical path).
   /// Positive: children are encoded as they are produced and flushed to
   /// `storage` in chunks of ~budget/2 bytes, bounding frontier RAM.
@@ -232,118 +228,6 @@ class ScratchArena {
       index_;
 };
 
-struct ConstructionStats {
-  std::uint64_t lookups = 0;  // cache probes, one per unique frontier item
-  std::uint64_t hits = 0;     // probes answered from the cache
-  std::uint64_t misses = 0;   // probes that required a scratch expansion
-  std::uint64_t deduped = 0;  // frontier duplicates dropped before probing
-};
-
-/// Memo cache for canonical one-round expansions, keyed by
-/// (construction mode, model, params-minus-rounds, facet vertex ids).
-/// Entries hold canonical StateId / VertexId references, so a cache is
-/// bound to the first (ViewRegistry, VertexArena) pair it is used with and
-/// rejects any other. The mode byte keeps orbit-mode and full-mode entries
-/// (and their stats) apart: the two pipelines probe with different facet
-/// populations, and letting them cross-hit would make hit/miss accounting
-/// meaningless — stats are kept per mode, with stats() aggregating.
-class ConstructionCache {
- public:
-  /// Key and Entry are an implementation detail of the pipeline; they are
-  /// public only so construction.cpp can drive the cache.
-  struct Key {
-    std::uint8_t model = 0;
-    std::uint8_t mode = 0;  // ConstructionMode, as its underlying byte
-    std::uint64_t params = 0;  // packed model params, excluding rounds
-    std::vector<topology::VertexId> facet;
-
-    bool operator==(const Key& other) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const {
-      std::size_t h =
-          util::hash_combine(std::hash<std::uint8_t>{}(key.model),
-                             std::hash<std::uint64_t>{}(key.params));
-      h = util::hash_combine(h, std::hash<std::uint8_t>{}(key.mode));
-      for (const topology::VertexId v : key.facet) {
-        h = util::hash_combine(h, std::hash<topology::VertexId>{}(v));
-      }
-      return h;
-    }
-  };
-  struct Entry {
-    std::vector<detail::RoundGroup> groups;
-  };
-
-  ConstructionCache() = default;
-
-  /// Aggregate across both modes (the historical accessor).
-  ConstructionStats stats() const {
-    ConstructionStats total;
-    for (const ConstructionStats& s : stats_) {
-      total.lookups += s.lookups;
-      total.hits += s.hits;
-      total.misses += s.misses;
-      total.deduped += s.deduped;
-    }
-    return total;
-  }
-  /// Stats for one construction mode only.
-  const ConstructionStats& stats(ConstructionMode mode) const {
-    return stats_[static_cast<std::size_t>(mode)];
-  }
-  std::size_t size() const { return entries_.size(); }
-
-  /// Binds the cache to a registry/arena pair on first use; throws
-  /// std::logic_error if later used with a different pair (the cached ids
-  /// would be meaningless there).
-  void bind(const ViewRegistry& views, const topology::VertexArena& arena) {
-    if (views_ == nullptr) {
-      views_ = &views;
-      arena_ = &arena;
-      return;
-    }
-    if (views_ != &views || arena_ != &arena) {
-      throw std::logic_error(
-          "ConstructionCache: already bound to a different registry/arena");
-    }
-  }
-
-  /// Counted probe: records a lookup plus a hit or miss against the mode
-  /// the key carries.
-  const Entry* lookup(const Key& key) {
-    ConstructionStats& stats = stats_[key.mode];
-    ++stats.lookups;
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      ++stats.misses;
-      return nullptr;
-    }
-    ++stats.hits;
-    return &it->second;
-  }
-
-  /// Uncounted probe (pipeline-internal re-reads).
-  const Entry* peek(const Key& key) const {
-    const auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : &it->second;
-  }
-
-  void store(Key key, Entry entry) {
-    entries_.emplace(std::move(key), std::move(entry));
-  }
-
-  void note_dedup(ConstructionMode mode) {
-    ++stats_[static_cast<std::size_t>(mode)].deduped;
-  }
-
- private:
-  const ViewRegistry* views_ = nullptr;
-  const topology::VertexArena* arena_ = nullptr;
-  std::unordered_map<Key, Entry, KeyHash> entries_;
-  ConstructionStats stats_[2];  // indexed by ConstructionMode
-};
-
 // ---- orbit-quotient results ----
 
 /// One final-facet orbit: the canonical representative, its stabilizer size
@@ -387,97 +271,116 @@ topology::SimplicialComplex reconstitute_full(const OrbitComplexResult& result,
                                               ViewRegistry& views,
                                               topology::VertexArena& arena);
 
-// Cache-sharing entry points. The plain *_protocol_complex functions in the
-// model headers are thin wrappers that run these with a throwaway cache;
-// pass your own cache to amortize expansions across calls (sweeps, theorem
-// batteries, repeated rounds over one input complex). `options` controls
-// frontier spill; its mode must be kFull here (the orbit pipeline returns
-// orbit data through the *_orbit entry points below).
+// Full-pipeline entry points: A^r(S), S^r(S), M^r(S) and IIS^r(S) from one
+// input facet, and (the _over forms) their unions over every facet of an
+// input complex — Section 4's P(I). Output is bit-identical to the matching
+// *_protocol_complex_seq reference at any thread count. `options` controls
+// frontier spill; the orbit pipeline returns orbit data through the *_orbit
+// entry points below.
 
 topology::SimplicialComplex async_protocol_complex(
     const topology::Simplex& input, const AsyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options = {});
 
 topology::SimplicialComplex async_protocol_complex_over(
     const topology::SimplicialComplex& inputs, const AsyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options = {});
 
 topology::SimplicialComplex sync_protocol_complex(
     const topology::Simplex& input, const SyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options = {});
 
 topology::SimplicialComplex sync_protocol_complex_over(
     const topology::SimplicialComplex& inputs, const SyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options = {});
 
 topology::SimplicialComplex semisync_protocol_complex(
     const topology::Simplex& input, const SemiSyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options = {});
 
 topology::SimplicialComplex semisync_protocol_complex_over(
     const topology::SimplicialComplex& inputs, const SemiSyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options = {});
 
 topology::SimplicialComplex iis_protocol_complex(
     const topology::Simplex& input, int rounds, ViewRegistry& views,
-    topology::VertexArena& arena, ConstructionCache& cache,
-    const ConstructionOptions& options = {});
+    topology::VertexArena& arena, const ConstructionOptions& options = {});
 
 topology::SimplicialComplex iis_protocol_complex_over(
     const topology::SimplicialComplex& inputs, int rounds, ViewRegistry& views,
-    topology::VertexArena& arena, ConstructionCache& cache,
-    const ConstructionOptions& options = {});
+    topology::VertexArena& arena, const ConstructionOptions& options = {});
 
 // Orbit-quotient entry points. Single-facet forms take G = Aut(input facet)
 // (the full diagonal symmetric group for a rainbow input); _over forms take
-// G = Aut(input complex). options.mode is forced to kOrbit. Output values
-// (counts, f-vectors, homology of the reconstituted complex) match the full
-// pipeline's wherever both can run; vertex/state ids are mode-local.
+// G = Aut(input complex). Output values (counts, f-vectors, homology of the
+// reconstituted complex) match the full pipeline's wherever both can run;
+// vertex/state ids are mode-local.
 
 OrbitComplexResult async_protocol_complex_orbit(
     const topology::Simplex& input, const AsyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options = {});
 
 OrbitComplexResult async_protocol_complex_orbit_over(
     const topology::SimplicialComplex& inputs, const AsyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options = {});
 
 OrbitComplexResult sync_protocol_complex_orbit(
     const topology::Simplex& input, const SyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options = {});
 
 OrbitComplexResult sync_protocol_complex_orbit_over(
     const topology::SimplicialComplex& inputs, const SyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options = {});
 
 OrbitComplexResult semisync_protocol_complex_orbit(
     const topology::Simplex& input, const SemiSyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options = {});
 
 OrbitComplexResult semisync_protocol_complex_orbit_over(
     const topology::SimplicialComplex& inputs, const SemiSyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache& cache,
+    ViewRegistry& views, topology::VertexArena& arena,
     const ConstructionOptions& options = {});
 
 OrbitComplexResult iis_protocol_complex_orbit(
     const topology::Simplex& input, int rounds, ViewRegistry& views,
-    topology::VertexArena& arena, ConstructionCache& cache,
-    const ConstructionOptions& options = {});
+    topology::VertexArena& arena, const ConstructionOptions& options = {});
 
 OrbitComplexResult iis_protocol_complex_orbit_over(
     const topology::SimplicialComplex& inputs, int rounds, ViewRegistry& views,
-    topology::VertexArena& arena, ConstructionCache& cache,
-    const ConstructionOptions& options = {});
+    topology::VertexArena& arena, const ConstructionOptions& options = {});
+
+// Compatibility overloads for perfbench/harness/layers.cpp, which passes an
+// empty cache object to the orbit builders. They forward to the entry
+// points above; nothing else may use them.
+struct ConstructionCache {};
+
+inline OrbitComplexResult async_protocol_complex_orbit(
+    const topology::Simplex& input, const AsyncParams& params,
+    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache&) {
+  return async_protocol_complex_orbit(input, params, views, arena);
+}
+
+inline OrbitComplexResult sync_protocol_complex_orbit(
+    const topology::Simplex& input, const SyncParams& params,
+    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache&) {
+  return sync_protocol_complex_orbit(input, params, views, arena);
+}
+
+inline OrbitComplexResult semisync_protocol_complex_orbit(
+    const topology::Simplex& input, const SemiSyncParams& params,
+    ViewRegistry& views, topology::VertexArena& arena, ConstructionCache&) {
+  return semisync_protocol_complex_orbit(input, params, views, arena);
+}
 
 }  // namespace psph::core

@@ -35,24 +35,14 @@ topology::SimplicialComplex iis_round_complex(const topology::Simplex& input,
                                               ViewRegistry& views,
                                               topology::VertexArena& arena);
 
-/// r-round iterated complex. Runs the parallel, memoized pipeline of
-/// construction.h (with a private cache); output is bit-identical to the
-/// sequential reference at any thread count.
-topology::SimplicialComplex iis_protocol_complex(
-    const topology::Simplex& input, int rounds, ViewRegistry& views,
-    topology::VertexArena& arena);
-
 /// Sequential depth-first reference construction of IIS^r. Kept as the
 /// correctness oracle for the pipeline (tests) and as the benchmark
-/// baseline; always single-threaded, never memoized.
+/// baseline; always single-threaded. The pipeline builds
+/// (iis_protocol_complex, iis_protocol_complex_over) are declared in
+/// core/construction.h.
 topology::SimplicialComplex iis_protocol_complex_seq(
     const topology::Simplex& input, int rounds, ViewRegistry& views,
     topology::VertexArena& arena);
-
-/// Union of IIS^r over every facet of an input complex.
-topology::SimplicialComplex iis_protocol_complex_over(
-    const topology::SimplicialComplex& inputs, int rounds,
-    ViewRegistry& views, topology::VertexArena& arena);
 
 /// Ordered Bell number (Fubini number): the number of ordered set
 /// partitions of m elements — the facet count of a one-round IIS complex

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/construction.h"
 #include "core/round_ops.h"
 #include "math/combinatorics.h"
 
@@ -95,13 +94,6 @@ topology::SimplicialComplex semisync_round_complex(
   return result;
 }
 
-topology::SimplicialComplex semisync_protocol_complex(
-    const topology::Simplex& input, const SemiSyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena) {
-  ConstructionCache cache;
-  return semisync_protocol_complex(input, params, views, arena, cache);
-}
-
 topology::SimplicialComplex semisync_protocol_complex_seq(
     const topology::Simplex& input, const SemiSyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena) {
@@ -131,13 +123,6 @@ topology::SimplicialComplex semisync_protocol_complex_seq(
     }
   }
   return result;
-}
-
-topology::SimplicialComplex semisync_protocol_complex_over(
-    const topology::SimplicialComplex& inputs, const SemiSyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena) {
-  ConstructionCache cache;
-  return semisync_protocol_complex_over(inputs, params, views, arena, cache);
 }
 
 }  // namespace psph::core

@@ -66,24 +66,13 @@ topology::SimplicialComplex semisync_round_complex(
     const topology::Simplex& input, const SemiSyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena);
 
-/// M^r(S): the inductive r-round construction (fresh (K, F) per round,
-/// budget decreasing). Runs the parallel, memoized pipeline of
-/// construction.h (with a private cache); output is bit-identical to the
-/// sequential reference at any thread count.
-topology::SimplicialComplex semisync_protocol_complex(
-    const topology::Simplex& input, const SemiSyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena);
-
 /// Sequential depth-first reference construction of M^r(S). Kept as the
 /// correctness oracle for the pipeline (tests) and as the benchmark
-/// baseline; always single-threaded, never memoized.
+/// baseline; always single-threaded. The pipeline builds
+/// (semisync_protocol_complex, semisync_protocol_complex_over) are declared in
+/// core/construction.h.
 topology::SimplicialComplex semisync_protocol_complex_seq(
     const topology::Simplex& input, const SemiSyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena);
-
-/// Union of M^r over every facet of an input complex.
-topology::SimplicialComplex semisync_protocol_complex_over(
-    const topology::SimplicialComplex& inputs, const SemiSyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena);
 
 /// |[F]| = 2^|K| distinct views per survivor.

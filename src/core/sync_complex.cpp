@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/construction.h"
 #include "core/round_ops.h"
 #include "math/combinatorics.h"
 
@@ -57,13 +56,6 @@ topology::SimplicialComplex sync_round_complex(
   return result;
 }
 
-topology::SimplicialComplex sync_protocol_complex(
-    const topology::Simplex& input, const SyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena) {
-  ConstructionCache cache;
-  return sync_protocol_complex(input, params, views, arena, cache);
-}
-
 topology::SimplicialComplex sync_protocol_complex_seq(
     const topology::Simplex& input, const SyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena) {
@@ -92,13 +84,6 @@ topology::SimplicialComplex sync_protocol_complex_seq(
     }
   }
   return result;
-}
-
-topology::SimplicialComplex sync_protocol_complex_over(
-    const topology::SimplicialComplex& inputs, const SyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena) {
-  ConstructionCache cache;
-  return sync_protocol_complex_over(inputs, params, views, arena, cache);
 }
 
 }  // namespace psph::core

@@ -44,23 +44,13 @@ topology::SimplicialComplex sync_round_complex(const topology::Simplex& input,
                                                ViewRegistry& views,
                                                topology::VertexArena& arena);
 
-/// S^r(S): the inductive r-round construction. Runs the parallel, memoized
-/// pipeline of construction.h (with a private cache); output is
-/// bit-identical to the sequential reference at any thread count.
-topology::SimplicialComplex sync_protocol_complex(
-    const topology::Simplex& input, const SyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena);
-
 /// Sequential depth-first reference construction of S^r(S). Kept as the
 /// correctness oracle for the pipeline (tests) and as the benchmark
-/// baseline; always single-threaded, never memoized.
+/// baseline; always single-threaded. The pipeline builds
+/// (sync_protocol_complex, sync_protocol_complex_over) are declared in
+/// core/construction.h.
 topology::SimplicialComplex sync_protocol_complex_seq(
     const topology::Simplex& input, const SyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena);
-
-/// Union of S^r over every facet of an input complex.
-topology::SimplicialComplex sync_protocol_complex_over(
-    const topology::SimplicialComplex& inputs, const SyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena);
 
 /// Lemma 15's right-hand side: the intersection of S¹_{K_t}(S) with the

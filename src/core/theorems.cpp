@@ -86,17 +86,16 @@ ConnectivityCheck check_pseudosphere_connectivity(
 
 ConnectivityCheck check_async_connectivity(int num_processes,
                                            int participants, int f, int r,
-                                           const ConstructionOptions& options) {
+                                           ConstructionMode mode) {
   ViewRegistry views;
   topology::VertexArena arena;
   const topology::Simplex input = rainbow_input(participants, views, arena);
   AsyncParams params{num_processes, f, r};
   const int m = participants - 1;
   const int n = num_processes - 1;
-  if (options.mode == ConstructionMode::kOrbit) {
-    ConstructionCache cache;
-    const OrbitComplexResult orbit = async_protocol_complex_orbit(
-        input, params, views, arena, cache, options);
+  if (mode == ConstructionMode::kOrbit) {
+    const OrbitComplexResult orbit =
+        async_protocol_complex_orbit(input, params, views, arena);
     return measure(reconstitute_full(orbit, views, arena), m - (n - f) - 1);
   }
   const topology::SimplicialComplex complex =
@@ -105,8 +104,7 @@ ConnectivityCheck check_async_connectivity(int num_processes,
 }
 
 ConnectivityCheck check_sync_connectivity(int num_processes, int participants,
-                                          int k, int r,
-                                          const ConstructionOptions& options) {
+                                          int k, int r, ConstructionMode mode) {
   ViewRegistry views;
   topology::VertexArena arena;
   const topology::Simplex input = rainbow_input(participants, views, arena);
@@ -114,11 +112,9 @@ ConnectivityCheck check_sync_connectivity(int num_processes, int participants,
                     /*failures_per_round=*/k, r};
   const int m = participants - 1;
   const int n = num_processes - 1;
-  if (options.mode == ConstructionMode::kOrbit) {
-    ConstructionCache cache;
+  if (mode == ConstructionMode::kOrbit) {
     const OrbitComplexResult orbit =
-        sync_protocol_complex_orbit(input, params, views, arena, cache,
-                                    options);
+        sync_protocol_complex_orbit(input, params, views, arena);
     return measure(reconstitute_full(orbit, views, arena), m - (n - k) - 1);
   }
   const topology::SimplicialComplex complex =
@@ -128,9 +124,7 @@ ConnectivityCheck check_sync_connectivity(int num_processes, int participants,
 
 ConnectivityCheck check_semisync_connectivity(int num_processes,
                                               int participants, int k, int mu,
-                                              int r,
-                                              const ConstructionOptions&
-                                                  options) {
+                                              int r, ConstructionMode mode) {
   ViewRegistry views;
   topology::VertexArena arena;
   const topology::Simplex input = rainbow_input(participants, views, arena);
@@ -138,10 +132,9 @@ ConnectivityCheck check_semisync_connectivity(int num_processes,
                         /*failures_per_round=*/k, mu, r};
   const int m = participants - 1;
   const int n = num_processes - 1;
-  if (options.mode == ConstructionMode::kOrbit) {
-    ConstructionCache cache;
-    const OrbitComplexResult orbit = semisync_protocol_complex_orbit(
-        input, params, views, arena, cache, options);
+  if (mode == ConstructionMode::kOrbit) {
+    const OrbitComplexResult orbit =
+        semisync_protocol_complex_orbit(input, params, views, arena);
     return measure(reconstitute_full(orbit, views, arena), m - (n - k) - 1);
   }
   const topology::SimplicialComplex complex =

@@ -45,25 +45,23 @@ ConnectivityCheck check_pseudosphere_connectivity(
     const std::vector<int>& value_set_sizes);
 
 /// Lemma 12: A^r(S^m) is (m - (n - f) - 1)-connected. `participants` = m+1,
-/// `num_processes` = n+1. With options.mode == kOrbit the complex is built
-/// through the symmetry-reduced pipeline (DESIGN §5.16) and reconstituted
-/// before measuring — the verdict is value-identical either way.
-ConnectivityCheck check_async_connectivity(int num_processes,
-                                           int participants, int f, int r,
-                                           const ConstructionOptions& options =
-                                               {});
+/// `num_processes` = n+1. With mode == kOrbit the complex is built through
+/// the symmetry-reduced pipeline (DESIGN §5.16) and reconstituted before
+/// measuring — the verdict is value-identical either way.
+ConnectivityCheck check_async_connectivity(
+    int num_processes, int participants, int f, int r,
+    ConstructionMode mode = ConstructionMode::kFull);
 
 /// Lemmas 16 (r = 1) and 17: S^r(S^m) is (m - (n - k) - 1)-connected when
 /// n >= rk + k. `participants` = m+1.
-ConnectivityCheck check_sync_connectivity(int num_processes, int participants,
-                                          int k, int r,
-                                          const ConstructionOptions& options =
-                                              {});
+ConnectivityCheck check_sync_connectivity(
+    int num_processes, int participants, int k, int r,
+    ConstructionMode mode = ConstructionMode::kFull);
 
 /// Lemma 21: M^r(S^m) is (m - (n - k) - 1)-connected when n >= (r+1)k.
 ConnectivityCheck check_semisync_connectivity(
     int num_processes, int participants, int k, int mu, int r,
-    const ConstructionOptions& options = {});
+    ConstructionMode mode = ConstructionMode::kFull);
 
 struct AgreementCheck {
   bool impossible = false;     // search proved no decision map exists

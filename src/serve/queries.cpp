@@ -18,24 +18,20 @@ namespace {
 core::OrbitComplexResult build_orbit_result(const Query& q,
                                             core::ViewRegistry& views,
                                             topology::VertexArena& arena) {
-  core::ConstructionCache cache;
   const topology::Simplex input =
       core::rainbow_input(q.participants, views, arena);
   if (q.model == "async") {
     core::AsyncParams params{q.processes, q.f, q.rounds};
-    return core::async_protocol_complex_orbit(input, params, views, arena,
-                                              cache);
+    return core::async_protocol_complex_orbit(input, params, views, arena);
   }
   if (q.model == "sync") {
     core::SyncParams params{q.processes, /*total_failures=*/q.rounds * q.k,
                             /*failures_per_round=*/q.k, q.rounds};
-    return core::sync_protocol_complex_orbit(input, params, views, arena,
-                                             cache);
+    return core::sync_protocol_complex_orbit(input, params, views, arena);
   }
   core::SemiSyncParams params{q.processes, /*total_failures=*/q.rounds * q.k,
                               /*failures_per_round=*/q.k, q.mu, q.rounds};
-  return core::semisync_protocol_complex_orbit(input, params, views, arena,
-                                               cache);
+  return core::semisync_protocol_complex_orbit(input, params, views, arena);
 }
 
 /// Builds the complex a connectivity check of the same parameters measures

@@ -7,6 +7,7 @@
 
 #include "core/async_complex.h"
 #include "core/chains.h"
+#include "core/construction.h"
 #include "core/decision_search.h"
 #include "core/pseudosphere.h"
 #include "core/sync_complex.h"

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/async_complex.h"
+#include "core/construction.h"
 #include "core/decision_search.h"
 #include "core/iis_complex.h"
 #include "core/pseudosphere.h"

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/agreement.h"
 #include "core/async_complex.h"
+#include "core/construction.h"
 #include "core/decision_search.h"
 #include "core/pseudosphere.h"
 #include "core/semisync_complex.h"
@@ -29,6 +31,18 @@ struct Fixture {
   ViewRegistry views;
   VertexArena arena;
 };
+
+// The orbit backend measures the reconstituted full complex, so its verdict
+// must equal the full pipeline's field for field.
+void expect_orbit_verdict_matches(const ConnectivityCheck& full,
+                                  const ConnectivityCheck& orbit) {
+  EXPECT_EQ(orbit.expected, full.expected);
+  EXPECT_EQ(orbit.measured, full.measured);
+  EXPECT_EQ(orbit.satisfied, full.satisfied);
+  EXPECT_EQ(orbit.facet_count, full.facet_count);
+  EXPECT_EQ(orbit.vertex_count, full.vertex_count);
+  EXPECT_EQ(orbit.dimension, full.dimension);
+}
 
 // ------------------------------------------------------------- async ------
 
@@ -88,10 +102,13 @@ TEST(AsyncLemma12, ConnectivitySweep) {
                                        {4, 4, 1, 1},
                                        {4, 4, 2, 1},
                                        {4, 3, 2, 1}}) {
+    SCOPED_TRACE("n+1=" + std::to_string(n1) + " m+1=" + std::to_string(m1) +
+                 " f=" + std::to_string(f) + " r=" + std::to_string(r));
     const ConnectivityCheck check = check_async_connectivity(n1, m1, f, r);
-    EXPECT_TRUE(check.satisfied)
-        << "n+1=" << n1 << " m+1=" << m1 << " f=" << f << " r=" << r << " : "
-        << check.to_string();
+    EXPECT_TRUE(check.satisfied) << check.to_string();
+    expect_orbit_verdict_matches(
+        check,
+        check_async_connectivity(n1, m1, f, r, ConstructionMode::kOrbit));
   }
 }
 
@@ -227,10 +244,12 @@ TEST(SyncLemma16And17, ConnectivitySweep) {
                                        {4, 4, 1, 2},
                                        {4, 3, 1, 1},
                                        {5, 5, 2, 1}}) {
+    SCOPED_TRACE("n+1=" + std::to_string(n1) + " m+1=" + std::to_string(m1) +
+                 " k=" + std::to_string(k) + " r=" + std::to_string(r));
     const ConnectivityCheck check = check_sync_connectivity(n1, m1, k, r);
-    EXPECT_TRUE(check.satisfied)
-        << "n+1=" << n1 << " m+1=" << m1 << " k=" << k << " r=" << r << " : "
-        << check.to_string();
+    EXPECT_TRUE(check.satisfied) << check.to_string();
+    expect_orbit_verdict_matches(
+        check, check_sync_connectivity(n1, m1, k, r, ConstructionMode::kOrbit));
   }
 }
 
@@ -351,11 +370,15 @@ TEST(SemiSyncLemma21, ConnectivitySweep) {
                                        {4, 4, 1, 2, 2},
                                        {4, 4, 1, 2, 1},
                                        {4, 3, 1, 2, 1}}) {
+    SCOPED_TRACE("n+1=" + std::to_string(n1) + " m+1=" + std::to_string(m1) +
+                 " k=" + std::to_string(k) + " mu=" + std::to_string(mu) +
+                 " r=" + std::to_string(r));
     const ConnectivityCheck check =
         check_semisync_connectivity(n1, m1, k, mu, r);
-    EXPECT_TRUE(check.satisfied)
-        << "n+1=" << n1 << " m+1=" << m1 << " k=" << k << " mu=" << mu
-        << " r=" << r << " : " << check.to_string();
+    EXPECT_TRUE(check.satisfied) << check.to_string();
+    expect_orbit_verdict_matches(
+        check, check_semisync_connectivity(n1, m1, k, mu, r,
+                                           ConstructionMode::kOrbit));
   }
 }
 

@@ -3,7 +3,7 @@
 // f-vectors, and homology must equal the unreduced pipeline's, value for
 // value, for every model and every (n, r) the unreduced path can reach.
 // Also covers frontier spill (results bit-identical at any budget, in RAM
-// and through sealed on-disk chunks) and the mode-keyed ConstructionCache.
+// and through sealed on-disk chunks).
 
 #include "core/orbit.h"
 
@@ -84,9 +84,8 @@ TEST(SymmetryGroupTest, NonRoundZeroVertexThrows) {
   core::ViewRegistry views;
   topology::VertexArena arena;
   const topology::Simplex input = core::rainbow_input(3, views, arena);
-  core::ConstructionCache cache;
   const topology::SimplicialComplex one_round =
-      core::async_protocol_complex(input, {3, 1, 1}, views, arena, cache);
+      core::async_protocol_complex(input, {3, 1, 1}, views, arena);
   EXPECT_THROW(core::SymmetryGroup::for_input_facet(one_round.facets().front(),
                                                     views, arena),
                std::invalid_argument);
@@ -98,9 +97,8 @@ TEST(OrbitContextTest, OrbitMembersShareOneCanonicalForm) {
   core::ViewRegistry views;
   topology::VertexArena arena;
   const topology::Simplex input = core::rainbow_input(3, views, arena);
-  core::ConstructionCache cache;
   const topology::SimplicialComplex complex =
-      core::async_protocol_complex(input, {3, 1, 1}, views, arena, cache);
+      core::async_protocol_complex(input, {3, 1, 1}, views, arena);
 
   core::OrbitContext ctx(
       core::SymmetryGroup::for_input_facet(input, views, arena), views, arena);
@@ -168,12 +166,11 @@ TEST(OrbitDifferentialTest, AsyncMatchesFullPipeline) {
     core::ViewRegistry views;
     topology::VertexArena arena;
     const topology::Simplex input = core::rainbow_input(c.n1, views, arena);
-    core::ConstructionCache cache;
     const core::AsyncParams params{c.n1, c.f, c.r};
     const topology::SimplicialComplex full =
-        core::async_protocol_complex(input, params, views, arena, cache);
-    const core::OrbitComplexResult orbit = core::async_protocol_complex_orbit(
-        input, params, views, arena, cache);
+        core::async_protocol_complex(input, params, views, arena);
+    const core::OrbitComplexResult orbit =
+        core::async_protocol_complex_orbit(input, params, views, arena);
     expect_orbit_matches_full(full, orbit, views, arena,
                               "async n1=" + std::to_string(c.n1) +
                                   " f=" + std::to_string(c.f) +
@@ -190,12 +187,11 @@ TEST(OrbitDifferentialTest, SyncMatchesFullPipeline) {
     core::ViewRegistry views;
     topology::VertexArena arena;
     const topology::Simplex input = core::rainbow_input(c.n1, views, arena);
-    core::ConstructionCache cache;
     const core::SyncParams params{c.n1, c.f, c.k, c.r};
     const topology::SimplicialComplex full =
-        core::sync_protocol_complex(input, params, views, arena, cache);
-    const core::OrbitComplexResult orbit = core::sync_protocol_complex_orbit(
-        input, params, views, arena, cache);
+        core::sync_protocol_complex(input, params, views, arena);
+    const core::OrbitComplexResult orbit =
+        core::sync_protocol_complex_orbit(input, params, views, arena);
     expect_orbit_matches_full(full, orbit, views, arena,
                               "sync n1=" + std::to_string(c.n1) +
                                   " f=" + std::to_string(c.f) +
@@ -213,13 +209,11 @@ TEST(OrbitDifferentialTest, SemiSyncMatchesFullPipeline) {
     core::ViewRegistry views;
     topology::VertexArena arena;
     const topology::Simplex input = core::rainbow_input(c.n1, views, arena);
-    core::ConstructionCache cache;
     const core::SemiSyncParams params{c.n1, c.f, c.k, c.mu, c.r};
     const topology::SimplicialComplex full =
-        core::semisync_protocol_complex(input, params, views, arena, cache);
+        core::semisync_protocol_complex(input, params, views, arena);
     const core::OrbitComplexResult orbit =
-        core::semisync_protocol_complex_orbit(input, params, views, arena,
-                                              cache);
+        core::semisync_protocol_complex_orbit(input, params, views, arena);
     expect_orbit_matches_full(full, orbit, views, arena,
                               "semisync n1=" + std::to_string(c.n1) +
                                   " f=" + std::to_string(c.f) +
@@ -233,11 +227,10 @@ TEST(OrbitDifferentialTest, IisMatchesFullPipeline) {
     core::ViewRegistry views;
     topology::VertexArena arena;
     const topology::Simplex input = core::rainbow_input(3, views, arena);
-    core::ConstructionCache cache;
     const topology::SimplicialComplex full =
-        core::iis_protocol_complex(input, r, views, arena, cache);
+        core::iis_protocol_complex(input, r, views, arena);
     const core::OrbitComplexResult orbit =
-        core::iis_protocol_complex_orbit(input, r, views, arena, cache);
+        core::iis_protocol_complex_orbit(input, r, views, arena);
     expect_orbit_matches_full(full, orbit, views, arena,
                               "iis r=" + std::to_string(r));
   }
@@ -248,13 +241,11 @@ TEST(OrbitDifferentialTest, InputComplexOverloadMatchesFullPipeline) {
   topology::VertexArena arena;
   const topology::SimplicialComplex inputs =
       core::input_complex(3, {0, 1}, views, arena);
-  core::ConstructionCache cache;
   const core::AsyncParams params{3, 1, 1};
-  const topology::SimplicialComplex full = core::async_protocol_complex_over(
-      inputs, params, views, arena, cache);
+  const topology::SimplicialComplex full =
+      core::async_protocol_complex_over(inputs, params, views, arena);
   const core::OrbitComplexResult orbit =
-      core::async_protocol_complex_orbit_over(inputs, params, views, arena,
-                                              cache);
+      core::async_protocol_complex_orbit_over(inputs, params, views, arena);
   expect_orbit_matches_full(full, orbit, views, arena, "async over psi(3)");
 }
 
@@ -264,12 +255,11 @@ TEST(OrbitDifferentialTest, AsymmetricInputDegeneratesGracefully) {
   core::ViewRegistry views;
   topology::VertexArena arena;
   const topology::Simplex input = core::input_facet({5, 5, 9}, views, arena);
-  core::ConstructionCache cache;
   const core::AsyncParams params{3, 1, 1};
   const topology::SimplicialComplex full =
-      core::async_protocol_complex(input, params, views, arena, cache);
+      core::async_protocol_complex(input, params, views, arena);
   const core::OrbitComplexResult orbit =
-      core::async_protocol_complex_orbit(input, params, views, arena, cache);
+      core::async_protocol_complex_orbit(input, params, views, arena);
   expect_orbit_matches_full(full, orbit, views, arena, "async {5,5,9}");
 }
 
@@ -281,9 +271,8 @@ TEST(FrontierSpillTest, TinyBudgetIsBitIdenticalInFullMode) {
   const topology::Simplex input = core::rainbow_input(3, views, arena);
   const core::AsyncParams params{3, 1, 2};
 
-  core::ConstructionCache cache_a;
   const topology::SimplicialComplex in_ram =
-      core::async_protocol_complex(input, params, views, arena, cache_a);
+      core::async_protocol_complex(input, params, views, arena);
 
   // A 64-byte budget forces a flush roughly every other item; the in-memory
   // chunk store exercises the encode/chunk/drain path exactly.
@@ -291,9 +280,8 @@ TEST(FrontierSpillTest, TinyBudgetIsBitIdenticalInFullMode) {
   core::ConstructionOptions options;
   options.frontier_budget_bytes = 64;
   options.storage = &chunks;
-  core::ConstructionCache cache_b;
-  const topology::SimplicialComplex spilled = core::async_protocol_complex(
-      input, params, views, arena, cache_b, options);
+  const topology::SimplicialComplex spilled =
+      core::async_protocol_complex(input, params, views, arena, options);
 
   EXPECT_EQ(in_ram, spilled);
   EXPECT_EQ(chunks.chunk_count(), 0u);  // every level fully drained
@@ -313,20 +301,16 @@ TEST(FrontierSpillTest, DiskSpoolIsBitIdenticalAcrossModels) {
   options.storage = &spool;
 
   {
-    core::ConstructionCache plain_cache, spool_cache;
     const core::SyncParams params{3, 2, 1, 2};
-    EXPECT_EQ(core::sync_protocol_complex(input, params, views, arena,
-                                          plain_cache),
+    EXPECT_EQ(core::sync_protocol_complex(input, params, views, arena),
               core::sync_protocol_complex(input, params, views, arena,
-                                          spool_cache, options));
+                                          options));
   }
   {
-    core::ConstructionCache plain_cache, spool_cache;
     const core::SemiSyncParams params{3, 1, 1, 2, 2};
-    EXPECT_EQ(core::semisync_protocol_complex(input, params, views, arena,
-                                              plain_cache),
+    EXPECT_EQ(core::semisync_protocol_complex(input, params, views, arena),
               core::semisync_protocol_complex(input, params, views, arena,
-                                              spool_cache, options));
+                                              options));
   }
   EXPECT_GT(spool.stats().chunks_written, 0u);
   EXPECT_EQ(spool.stats().chunks_read, spool.stats().chunks_written);
@@ -339,15 +323,13 @@ TEST(FrontierSpillTest, OrbitModeWithSpillMatchesOrbitModeInRam) {
   const topology::Simplex input = core::rainbow_input(4, views, arena);
   const core::AsyncParams params{4, 1, 2};
 
-  core::ConstructionCache cache_a;
-  const core::OrbitComplexResult in_ram = core::async_protocol_complex_orbit(
-      input, params, views, arena, cache_a);
+  const core::OrbitComplexResult in_ram =
+      core::async_protocol_complex_orbit(input, params, views, arena);
 
   core::ConstructionOptions options;
   options.frontier_budget_bytes = 128;
-  core::ConstructionCache cache_b;
   const core::OrbitComplexResult spilled = core::async_protocol_complex_orbit(
-      input, params, views, arena, cache_b, options);
+      input, params, views, arena, options);
 
   EXPECT_EQ(in_ram.reduced, spilled.reduced);
   EXPECT_EQ(in_ram.full_facet_count, spilled.full_facet_count);
@@ -375,59 +357,6 @@ TEST(FrontierSpillTest, CorruptSpilledChunkFailsLoudly) {
 
   EXPECT_THROW(spool.read_chunk(0), store::SerializationError);
   std::filesystem::remove_all(dir);
-}
-
-// --------------------------------------------- mode-keyed memo cache -----
-
-TEST(ConstructionCacheModeTest, MixedModeLookupsNeverCrossHit) {
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  const topology::Simplex input = core::rainbow_input(3, views, arena);
-  const core::AsyncParams params{3, 1, 2};
-
-  core::ConstructionCache cache;
-  core::async_protocol_complex(input, params, views, arena, cache);
-  const core::ConstructionStats full_before =
-      cache.stats(core::ConstructionMode::kFull);
-  EXPECT_GT(full_before.lookups, 0u);
-  EXPECT_EQ(cache.stats(core::ConstructionMode::kOrbit).lookups, 0u);
-
-  // First orbit run: the cache holds full-mode entries for these facets,
-  // but the orbit pipeline must not hit them — its probes are keyed by
-  // mode, so the run is all misses.
-  core::async_protocol_complex_orbit(input, params, views, arena, cache);
-  const core::ConstructionStats orbit_stats =
-      cache.stats(core::ConstructionMode::kOrbit);
-  EXPECT_GT(orbit_stats.lookups, 0u);
-  EXPECT_EQ(orbit_stats.hits, 0u);
-  EXPECT_EQ(orbit_stats.misses, orbit_stats.lookups);
-  // ...and full-mode stats are untouched by the orbit run.
-  const core::ConstructionStats full_after =
-      cache.stats(core::ConstructionMode::kFull);
-  EXPECT_EQ(full_after.lookups, full_before.lookups);
-  EXPECT_EQ(full_after.hits, full_before.hits);
-
-  // A second orbit run hits its own entries.
-  core::async_protocol_complex_orbit(input, params, views, arena, cache);
-  EXPECT_GT(cache.stats(core::ConstructionMode::kOrbit).hits, 0u);
-
-  // The aggregate accessor sums both modes.
-  const core::ConstructionStats total = cache.stats();
-  EXPECT_EQ(total.lookups,
-            cache.stats(core::ConstructionMode::kFull).lookups +
-                cache.stats(core::ConstructionMode::kOrbit).lookups);
-}
-
-TEST(ConstructionCacheModeTest, FullEntryPointsRejectOrbitMode) {
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  const topology::Simplex input = core::rainbow_input(3, views, arena);
-  core::ConstructionCache cache;
-  core::ConstructionOptions options;
-  options.mode = core::ConstructionMode::kOrbit;
-  EXPECT_THROW(core::async_protocol_complex(input, {3, 1, 1}, views, arena,
-                                            cache, options),
-               std::invalid_argument);
 }
 
 }  // namespace

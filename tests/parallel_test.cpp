@@ -24,6 +24,7 @@
 #include "core/theorems.h"
 #include "math/simd.h"
 #include "math/smith.h"
+#include "obs/obs.h"
 #include "topology/homology.h"
 #include "util/random.h"
 
@@ -421,31 +422,14 @@ TEST_F(ParallelTest, RandomizedPipelineMatchesSequentialReference) {
   }
 }
 
-// ------------------------------------------- memo-cache accounting -------
+// ------------------------------------------------- dedupe accounting -----
 
-TEST_F(ParallelTest, ConstructionCacheHitAndMissAccounting) {
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  const topology::Simplex input = core::rainbow_input(3, views, arena);
-  const core::AsyncParams params{3, 1, 2};
-
-  core::ConstructionCache cache;
-  const topology::SimplicialComplex first =
-      core::async_protocol_complex(input, params, views, arena, cache);
-  const core::ConstructionStats after_first = cache.stats();
-  EXPECT_GT(after_first.lookups, 0u);
-  EXPECT_EQ(after_first.hits + after_first.misses, after_first.lookups);
-  EXPECT_EQ(after_first.misses, cache.size());  // every miss stored an entry
-
-  // An identical second run is answered entirely from the cache.
-  const topology::SimplicialComplex second =
-      core::async_protocol_complex(input, params, views, arena, cache);
-  EXPECT_EQ(first, second);
-  const core::ConstructionStats after_second = cache.stats();
-  EXPECT_EQ(after_second.misses, after_first.misses);
-  EXPECT_EQ(after_second.hits - after_first.hits,
-            after_second.lookups - after_first.lookups);
-  EXPECT_GT(after_second.hits, after_first.hits);
+/// Current total of one obs counter (0 before it first fires).
+std::uint64_t obs_counter(const std::string& name) {
+  for (const obs::CounterStat& counter : obs::snapshot().counters) {
+    if (counter.name == name) return counter.value;
+  }
+  return 0;
 }
 
 TEST_F(ParallelTest, ConstructionDedupeCollapsesSharedFrontierItems) {
@@ -456,42 +440,13 @@ TEST_F(ParallelTest, ConstructionDedupeCollapsesSharedFrontierItems) {
   topology::VertexArena arena;
   const topology::SimplicialComplex inputs =
       core::input_complex(3, {0, 1}, views, arena);
-  core::ConstructionCache cache;
-  core::sync_protocol_complex_over(inputs, {3, 1, 1, 2}, views, arena, cache);
-  const core::ConstructionStats stats = cache.stats();
-  EXPECT_GT(stats.deduped, 0u);
-  EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
-}
-
-TEST_F(ParallelTest, ConstructionCacheReusedAcrossRoundDepths) {
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  const topology::Simplex input = core::rainbow_input(3, views, arena);
-
-  core::ConstructionCache cache;
-  core::sync_protocol_complex(input, {3, 1, 1, 1}, views, arena, cache);
-  const core::ConstructionStats after_r1 = cache.stats();
-  // Entries are keyed without the round count, so the r=2 run's first level
-  // is a pure cache hit.
-  core::sync_protocol_complex(input, {3, 1, 1, 2}, views, arena, cache);
-  const core::ConstructionStats after_r2 = cache.stats();
-  EXPECT_GT(after_r2.hits, after_r1.hits);
-}
-
-TEST_F(ParallelTest, ConstructionCacheRejectsForeignRegistry) {
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  const topology::Simplex input = core::rainbow_input(3, views, arena);
-  core::ConstructionCache cache;
-  core::async_protocol_complex(input, {3, 1, 1}, views, arena, cache);
-
-  core::ViewRegistry other_views;
-  topology::VertexArena other_arena;
-  const topology::Simplex other_input =
-      core::rainbow_input(3, other_views, other_arena);
-  EXPECT_THROW(core::async_protocol_complex(other_input, {3, 1, 1},
-                                            other_views, other_arena, cache),
-               std::logic_error);
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::uint64_t before = obs_counter("construction.deduped");
+  core::sync_protocol_complex_over(inputs, {3, 1, 1, 2}, views, arena);
+  const std::uint64_t after = obs_counter("construction.deduped");
+  obs::set_enabled(was_enabled);
+  EXPECT_GT(after - before, 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/async_complex.h"
+#include "core/construction.h"
 #include "core/sync_complex.h"
 #include "core/theorems.h"
 #include "core/view.h"
