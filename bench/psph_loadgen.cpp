@@ -31,6 +31,7 @@
 
 #include "bench_util.h"
 #include "check/fault_fs.h"
+#include "obs/obs.h"
 #include "serve/client.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
@@ -169,6 +170,10 @@ int main(int argc, char** argv) {
                      .dump()
                : std::string());
   }
+
+  // The verification computations above are the loadgen's own work, not
+  // the server's: start the server's counters (its `stats` block) at zero.
+  obs::reset();
 
   // Optional in-process server.
   fs::path temp_root;

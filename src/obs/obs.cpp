@@ -17,8 +17,11 @@ namespace {
 // Per-thread recording state. Owned jointly by the recording thread (its
 // thread_local shared_ptr) and the registry, so state written by a thread
 // that has since exited (e.g. a resized ThreadPool's workers) still merges
-// into snapshots.
+// into snapshots. The owning thread holds `mutex` while it writes and
+// snapshot()/reset() while they read or clear, so it is contended only
+// when a reader runs.
 struct ThreadState {
+  std::mutex mutex;
   int tid = 0;
   std::vector<std::uint64_t> counters;  // indexed by Counter id
 
@@ -169,6 +172,7 @@ void record_span(const char* name, std::uint64_t start_ns,
                  std::uint64_t end_ns, std::int64_t arg) {
   const std::uint64_t dur = end_ns >= start_ns ? end_ns - start_ns : 0;
   ThreadState& s = state();
+  std::lock_guard<std::mutex> lock(s.mutex);
 
   const auto [it, inserted] =
       s.span_index.try_emplace(name, s.span_aggs.size());
@@ -192,6 +196,19 @@ void record_span(const char* name, std::uint64_t start_ns,
 
 }  // namespace detail
 
+void record_span_since(const char* name,
+                       std::chrono::steady_clock::time_point start) {
+  if (!enabled()) return;
+  const std::int64_t start_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(start -
+                                                           registry().epoch)
+          .count();
+  detail::record_span(name,
+                      static_cast<std::uint64_t>(std::max<std::int64_t>(
+                          start_ns, 0)),
+                      detail::now_ns(), SpanTimer::kNoArg);
+}
+
 void set_enabled(bool on) {
   detail::g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
 }
@@ -204,6 +221,7 @@ void reset() {
   Registry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
   for (const std::shared_ptr<ThreadState>& s : reg.threads) {
+    std::lock_guard<std::mutex> thread_lock(s->mutex);
     std::fill(s->counters.begin(), s->counters.end(), 0);
     std::fill(s->gauges.begin(), s->gauges.end(),
               ThreadState::GaugeCell{});
@@ -224,6 +242,7 @@ Counter::Counter(const char* name) : name_(name) {
 void Counter::add(std::uint64_t delta) {
   if (!enabled()) return;
   ThreadState& s = state();
+  std::lock_guard<std::mutex> lock(s.mutex);
   grow_to(s.counters, id_);
   s.counters[id_] += delta;
 }
@@ -239,6 +258,7 @@ void Gauge::set(double value) {
   if (!enabled()) return;
   Registry& reg = registry();
   ThreadState& s = state();
+  std::lock_guard<std::mutex> lock(s.mutex);
   grow_to(s.gauges, id_);
   ThreadState::GaugeCell& cell = s.gauges[id_];
   if (cell.samples == 0) {
@@ -269,6 +289,7 @@ Snapshot snapshot() {
   gauge_totals.resize(reg.gauge_names.size());
 
   for (const std::shared_ptr<ThreadState>& s : reg.threads) {
+    std::lock_guard<std::mutex> thread_lock(s->mutex);
     for (std::size_t i = 0; i < s->counters.size(); ++i) {
       counter_totals[i] += s->counters[i];
     }

@@ -11,13 +11,14 @@
 //   * Gauge     — sampled value; the snapshot reports last / min / max /
 //     mean across all samples from all threads.
 //
-// Recording is per-thread with no locks or atomics on the hot path: every
-// thread writes only its own cells, so totals are exact and deterministic
-// once the writing threads have quiesced (joined, or drained through the
-// util::ThreadPool barrier). snapshot()/stats_table()/trace_json() merge
-// the per-thread state; call them only from quiescent points (end of a
-// bench, after a pool run returns) — they are readers of other threads'
-// cells, not synchronization.
+// Recording is per-thread: every thread writes only its own cells, under a
+// per-thread mutex that only a reader ever contends for, so totals are
+// exact and deterministic once the writing threads have finished (joined,
+// or drained through the util::ThreadPool barrier).
+// snapshot()/stats_table()/trace_json() merge the per-thread state and may
+// be called at any time, also while other threads record (a live daemon
+// renders its `stats` request this way); each thread's cells are read
+// under its mutex, so counters never go backwards between snapshots.
 //
 // The layer is runtime-gated: PSPH_OBS=0 in the environment (or
 // set_enabled(false)) turns every primitive into a single relaxed load and
@@ -31,6 +32,7 @@
 // folds into one row.
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -59,8 +61,7 @@ inline bool enabled() {
 void set_enabled(bool on);
 
 /// Drops every recorded span, event, counter value, and gauge sample.
-/// Counter/Gauge registrations survive. Call only while writers are
-/// quiescent.
+/// Counter/Gauge registrations survive.
 void reset();
 
 /// Caps timeline events recorded per thread (aggregates are never capped);
@@ -69,9 +70,9 @@ void reset();
 /// Test hook; applies to events recorded after the call.
 void set_event_capacity(std::size_t cap);
 
-/// Monotonic counter. Cheap enough for per-item hot loops: one branch plus
-/// a TLS array add when enabled. Typically declared as a namespace-scope
-/// or function-local static.
+/// Monotonic counter. Cheap enough for per-item hot loops: one branch plus,
+/// when enabled, an uncontended lock and a TLS array add. Typically
+/// declared as a namespace-scope or function-local static.
 class Counter {
  public:
   explicit Counter(const char* name);
@@ -121,6 +122,12 @@ class SpanTimer {
   std::int64_t arg_;
   std::uint64_t start_ns_;
 };
+
+/// Records one completed span from `start` (a steady_clock reading taken
+/// earlier, e.g. a request's admission) to now — for intervals that no
+/// single scope spans, where a SpanTimer cannot be held.
+void record_span_since(const char* name,
+                       std::chrono::steady_clock::time_point start);
 
 // ---------------------------------------------------------------- flush --
 

@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "check/fault_fs.h"
+#include "obs/obs.h"
 #include "serve/server.h"
 #include "util/cli.h"
 #include "util/parallel.h"
@@ -71,6 +72,9 @@ int main(int argc, char** argv) {
            "seeded here (soak mode)");
   cli.parse(argc, argv);
 
+  // The daemon never writes a trace: keep the aggregates its `stats`
+  // request renders, but no per-thread timeline events.
+  psph::obs::set_event_capacity(0);
   if (threads > 0) psph::util::set_thread_count(threads);
   options.queue_limit = static_cast<std::size_t>(queue_limit);
   options.batch_max = static_cast<std::size_t>(batch_max);

@@ -19,11 +19,63 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// The daemon's only counters: the `stats` request renders obs::snapshot().
+obs::Counter g_connections("serve.connections");
 obs::Counter g_requests("serve.requests");
-obs::Counter g_coalesced("serve.coalesced");
+obs::Counter g_responses("serve.responses");
+obs::Counter g_computed("serve.computed");      // unique jobs computed
+obs::Counter g_cache_hits("serve.cache_hits");  // unique jobs from the store
+obs::Counter g_coalesced("serve.coalesced");  // waiters served by another job
 obs::Counter g_overloaded("serve.overloaded");
 obs::Counter g_deadline("serve.deadline_exceeded");
+obs::Counter g_bad_requests("serve.bad_requests");
+obs::Counter g_bad_frames("serve.bad_frames");
+obs::Counter g_internal_errors("serve.internal_errors");
 obs::Gauge g_queue_depth("serve.queue_depth");
+obs::Gauge g_in_flight("serve.in_flight");
+
+/// Queue-to-response latency span of one query kind.
+const char* latency_span(QueryKind kind) {
+  switch (kind) {
+    case QueryKind::kConnectivity: return "serve.latency.connectivity";
+    case QueryKind::kHomology: return "serve.latency.homology";
+    case QueryKind::kComplexStats: return "serve.latency.complex_stats";
+    case QueryKind::kDecide: return "serve.latency.decide";
+  }
+  return "serve.latency.?";
+}
+
+Json render_stats() {
+  const obs::Snapshot snap = obs::snapshot();
+  Json counters = Json::object();
+  for (const obs::CounterStat& c : snap.counters) {
+    counters.set(c.name, Json::integer(static_cast<std::int64_t>(c.value)));
+  }
+  Json gauges = Json::object();
+  for (const obs::GaugeStat& g : snap.gauges) {
+    Json entry = Json::object();
+    entry.set("last", Json::number(g.last))
+        .set("min", Json::number(g.min))
+        .set("max", Json::number(g.max))
+        .set("mean", Json::number(g.sum / static_cast<double>(g.samples)));
+    gauges.set(g.name, std::move(entry));
+  }
+  Json spans = Json::object();
+  for (const obs::SpanStat& span : snap.spans) {
+    Json entry = Json::object();
+    entry.set("count", Json::integer(static_cast<std::int64_t>(span.count)))
+        .set("mean_us", Json::number(static_cast<double>(span.total_ns) /
+                                     static_cast<double>(span.count) / 1e3))
+        .set("max_us", Json::number(static_cast<double>(span.max_ns) / 1e3));
+    spans.set(span.name, std::move(entry));
+  }
+  Json body = Json::object();
+  body.set("obs_enabled", Json::boolean(obs::enabled()))
+      .set("counters", std::move(counters))
+      .set("gauges", std::move(gauges))
+      .set("spans", std::move(spans));
+  return body;
+}
 
 Clock::time_point effective_deadline(const Query& q,
                                      std::int64_t default_deadline_ms,
@@ -145,11 +197,19 @@ void Server::listener_loop() {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        // Out of descriptors or memory for now: back off and retry rather
+        // than stop accepting for good. The wait still ends on stop().
+        pollfd wake = {wake_pipe_[0], POLLIN, 0};
+        if (::poll(&wake, 1, /*timeout_ms=*/10) > 0) return;
+        continue;
+      }
       return;
     }
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    connections_.fetch_add(1, std::memory_order_relaxed);
+    g_connections.add();
     std::lock_guard<std::mutex> lock(conns_mutex_);
     conns_.push_back(conn);
     conn_threads_.emplace_back([this, conn] { connection_loop(conn); });
@@ -164,7 +224,7 @@ void Server::connection_loop(ConnPtr conn) {
       status = read_frame(conn->fd, &payload);
     } catch (const WireError& error) {
       // The stream is damaged (torn/oversized frame): report once, close.
-      bad_frames_.fetch_add(1, std::memory_order_relaxed);
+      g_bad_frames.add();
       send_json(conn, make_error_response(0, {"bad_frame", error.what()}));
       break;
     }
@@ -176,16 +236,15 @@ void Server::connection_loop(ConnPtr conn) {
     } catch (const JsonError& error) {
       // Framing is intact, only this payload is garbage: the connection
       // can keep serving.
-      bad_frames_.fetch_add(1, std::memory_order_relaxed);
+      g_bad_frames.add();
       send_json(conn, make_error_response(0, {"bad_frame", error.what()}));
       continue;
     }
 
-    requests_.fetch_add(1, std::memory_order_relaxed);
     g_requests.add();
     const ParsedRequest parsed = parse_request(request);
     if (parsed.error.has_value()) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
+      g_bad_requests.add();
       send_json(conn, make_error_response(parsed.id, *parsed.error));
       continue;
     }
@@ -215,7 +274,6 @@ void Server::connection_loop(ConnPtr conn) {
     if (admitted) {
       queue_cv_.notify_one();
     } else {
-      overloaded_.fetch_add(1, std::memory_order_relaxed);
       g_overloaded.add();
       send_json(conn,
                 make_error_response(
@@ -290,7 +348,6 @@ void Server::process_batch(std::vector<Pending> batch) {
   const Clock::time_point now = Clock::now();
   for (Pending& pending : batch) {
     if (pending.deadline <= now) {
-      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
       g_deadline.add();
       send_json(pending.conn,
                 make_error_response(
@@ -315,7 +372,7 @@ void Server::process_batch(std::vector<Pending> batch) {
   }
   if (groups.empty()) return;
 
-  in_flight_.store(groups.size(), std::memory_order_relaxed);
+  g_in_flight.set(static_cast<double>(groups.size()));
   // Nested parallel_for calls inside a query run inline on this worker, so
   // the DeadlineScope set here governs the whole computation.
   util::parallel_for(groups.size(), [&](std::size_t i) {
@@ -336,28 +393,17 @@ void Server::process_batch(std::vector<Pending> batch) {
       group.error = {"internal", error.what()};
     }
   });
-  in_flight_.store(0, std::memory_order_relaxed);
+  g_in_flight.set(0.0);
 
   const Clock::time_point done = Clock::now();
   for (Group& group : groups) {
     if (group.ok) {
-      if (group.result.cache_hit) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        computed_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (group.waiters.size() > 1) {
-        coalesced_.fetch_add(group.waiters.size() - 1,
-                             std::memory_order_relaxed);
-        g_coalesced.add(group.waiters.size() - 1);
-      }
+      (group.result.cache_hit ? g_cache_hits : g_computed).add();
+      if (group.waiters.size() > 1) g_coalesced.add(group.waiters.size() - 1);
     } else if (group.error.code == "deadline_exceeded") {
-      deadline_expired_.fetch_add(group.waiters.size(),
-                                  std::memory_order_relaxed);
       g_deadline.add(group.waiters.size());
     } else {
-      internal_errors_.fetch_add(group.waiters.size(),
-                                 std::memory_order_relaxed);
+      g_internal_errors.add(group.waiters.size());
     }
     for (std::size_t w = 0; w < group.waiters.size(); ++w) {
       const Pending& waiter = group.waiters[w];
@@ -369,7 +415,6 @@ void Server::process_batch(std::vector<Pending> batch) {
         // The shared computation outlived this waiter's budget; the result
         // is in the store for a retry, but this response honours the
         // deadline contract strictly.
-        deadline_expired_.fetch_add(1, std::memory_order_relaxed);
         g_deadline.add();
         send_json(waiter.conn,
                   make_error_response(waiter.id,
@@ -379,7 +424,8 @@ void Server::process_batch(std::vector<Pending> batch) {
       }
       // Latency is recorded before the response goes out so a client that
       // immediately asks for `stats` after its answer sees itself counted.
-      note_latency(waiter.query, waiter.enqueued);
+      obs::record_span_since(latency_span(waiter.query.kind),
+                             waiter.enqueued);
       send_json(waiter.conn,
                 make_ok_response(waiter.id, kind_name(waiter.query.kind),
                                  group.result.body, group.result.cache_hit,
@@ -394,112 +440,10 @@ void Server::send_json(const ConnPtr& conn, const Json& response) {
   if (conn->fd < 0) return;
   try {
     write_frame(conn->fd, payload);
-    responses_.fetch_add(1, std::memory_order_relaxed);
+    g_responses.add();
   } catch (const WireError&) {
     // Peer hung up mid-response; its reader thread will observe the close.
   }
-}
-
-void Server::note_latency(const Query& q, Clock::time_point enqueued) {
-  const std::uint64_t us =
-      static_cast<std::uint64_t>(std::chrono::duration_cast<
-                                     std::chrono::microseconds>(Clock::now() -
-                                                                enqueued)
-                                     .count());
-  std::lock_guard<std::mutex> lock(latency_mutex_);
-  KindLatency& latency = per_kind_[kind_name(q.kind)];
-  latency.count += 1;
-  latency.total_us += us;
-  latency.max_us = std::max(latency.max_us, us);
-}
-
-ServeStats Server::stats() const {
-  ServeStats out;
-  out.connections = connections_.load(std::memory_order_relaxed);
-  out.requests = requests_.load(std::memory_order_relaxed);
-  out.responses = responses_.load(std::memory_order_relaxed);
-  out.computed = computed_.load(std::memory_order_relaxed);
-  out.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  out.coalesced = coalesced_.load(std::memory_order_relaxed);
-  out.overloaded = overloaded_.load(std::memory_order_relaxed);
-  out.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
-  out.bad_requests = bad_requests_.load(std::memory_order_relaxed);
-  out.bad_frames = bad_frames_.load(std::memory_order_relaxed);
-  out.internal_errors = internal_errors_.load(std::memory_order_relaxed);
-  out.in_flight = in_flight_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    out.queue_depth = queue_.size();
-  }
-  {
-    std::lock_guard<std::mutex> lock(latency_mutex_);
-    out.per_kind = per_kind_;
-  }
-  return out;
-}
-
-Json Server::render_stats() const {
-  const ServeStats snapshot = stats();
-  Json body = Json::object();
-  body.set("queue_depth",
-           Json::integer(static_cast<std::int64_t>(snapshot.queue_depth)));
-  body.set("in_flight",
-           Json::integer(static_cast<std::int64_t>(snapshot.in_flight)));
-  body.set("connections",
-           Json::integer(static_cast<std::int64_t>(snapshot.connections)));
-  body.set("requests",
-           Json::integer(static_cast<std::int64_t>(snapshot.requests)));
-  body.set("responses",
-           Json::integer(static_cast<std::int64_t>(snapshot.responses)));
-  body.set("computed",
-           Json::integer(static_cast<std::int64_t>(snapshot.computed)));
-  body.set("cache_hits",
-           Json::integer(static_cast<std::int64_t>(snapshot.cache_hits)));
-  body.set("coalesced",
-           Json::integer(static_cast<std::int64_t>(snapshot.coalesced)));
-  body.set("overloaded",
-           Json::integer(static_cast<std::int64_t>(snapshot.overloaded)));
-  body.set("deadline_exceeded", Json::integer(static_cast<std::int64_t>(
-                                    snapshot.deadline_expired)));
-  body.set("bad_requests",
-           Json::integer(static_cast<std::int64_t>(snapshot.bad_requests)));
-  body.set("bad_frames",
-           Json::integer(static_cast<std::int64_t>(snapshot.bad_frames)));
-  body.set("internal_errors", Json::integer(static_cast<std::int64_t>(
-                                  snapshot.internal_errors)));
-  if (store_ != nullptr) {
-    const store::StoreStats store_stats = store_->stats();
-    Json store_body = Json::object();
-    store_body.set("hits", Json::integer(
-                               static_cast<std::int64_t>(store_stats.hits)));
-    store_body.set("misses", Json::integer(static_cast<std::int64_t>(
-                                 store_stats.misses)));
-    store_body.set("writes", Json::integer(static_cast<std::int64_t>(
-                                 store_stats.writes)));
-    store_body.set("corrupt_entries", Json::integer(static_cast<std::int64_t>(
-                                          store_stats.corrupt_entries)));
-    const std::uint64_t lookups = store_stats.hits + store_stats.misses;
-    store_body.set("hit_rate",
-                   Json::number(lookups == 0
-                                    ? 0.0
-                                    : static_cast<double>(store_stats.hits) /
-                                          static_cast<double>(lookups)));
-    body.set("store", std::move(store_body));
-  }
-  Json latency = Json::object();
-  for (const auto& [kind, stat] : snapshot.per_kind) {
-    Json entry = Json::object();
-    entry.set("count", Json::integer(static_cast<std::int64_t>(stat.count)));
-    entry.set("mean_us",
-              Json::number(stat.count == 0
-                               ? 0.0
-                               : static_cast<double>(stat.total_us) /
-                                     static_cast<double>(stat.count)));
-    entry.set("max_us", Json::integer(static_cast<std::int64_t>(stat.max_us)));
-    latency.set(kind, std::move(entry));
-  }
-  body.set("latency_us", std::move(latency));
-  return body;
 }
 
 }  // namespace psph::serve

@@ -18,11 +18,9 @@
 // before any work happens, and running computations are cancelled
 // cooperatively via util/cancel.h.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -51,31 +49,6 @@ struct ServerOptions {
   int listen_backlog = 64;
 };
 
-struct KindLatency {
-  std::uint64_t count = 0;
-  std::uint64_t total_us = 0;
-  std::uint64_t max_us = 0;
-};
-
-/// Snapshot exported by the `stats` request (and Server::stats()).
-struct ServeStats {
-  std::uint64_t connections = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t responses = 0;
-  std::uint64_t computed = 0;      // unique jobs actually computed
-  std::uint64_t cache_hits = 0;    // unique jobs answered from the store
-  std::uint64_t coalesced = 0;     // waiters served by someone else's job
-  std::uint64_t overloaded = 0;
-  std::uint64_t deadline_expired = 0;
-  std::uint64_t bad_requests = 0;
-  std::uint64_t bad_frames = 0;
-  std::uint64_t internal_errors = 0;
-  std::size_t queue_depth = 0;
-  std::size_t in_flight = 0;
-  /// Queue-to-response latency per query kind, microseconds.
-  std::map<std::string, KindLatency> per_kind;
-};
-
 class Server {
  public:
   explicit Server(ServerOptions options);
@@ -95,7 +68,6 @@ class Server {
   /// `poll_ms` elapses (0 = wait indefinitely). Returns shutdown_requested().
   bool wait_for_shutdown(std::int64_t poll_ms = 0);
 
-  ServeStats stats() const;
   /// Null when the server runs storeless.
   store::ResultStore* result_store() { return store_.get(); }
 
@@ -130,9 +102,6 @@ class Server {
   void process_batch(std::vector<Pending> batch);
   void handle_admin(const ConnPtr& conn, const ParsedRequest& parsed);
   void send_json(const ConnPtr& conn, const Json& response);
-  void note_latency(const Query& q,
-                    std::chrono::steady_clock::time_point enqueued);
-  Json render_stats() const;
 
   ServerOptions options_;
   std::unique_ptr<store::ResultStore> store_;
@@ -140,7 +109,7 @@ class Server {
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
 
-  mutable std::mutex queue_mutex_;
+  std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<Pending> queue_;
   bool paused_ = false;
@@ -159,23 +128,6 @@ class Server {
   std::condition_variable shutdown_cv_;
   bool shutdown_requested_ = false;
   bool stop_signalled_ = false;  // lets wait_for_shutdown() observe stop()
-
-  // Counters (atomic: bumped from reader threads and the dispatcher).
-  std::atomic<std::uint64_t> connections_{0};
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> responses_{0};
-  std::atomic<std::uint64_t> computed_{0};
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> overloaded_{0};
-  std::atomic<std::uint64_t> deadline_expired_{0};
-  std::atomic<std::uint64_t> bad_requests_{0};
-  std::atomic<std::uint64_t> bad_frames_{0};
-  std::atomic<std::uint64_t> internal_errors_{0};
-  std::atomic<std::size_t> in_flight_{0};
-
-  mutable std::mutex latency_mutex_;
-  std::map<std::string, KindLatency> per_kind_;
 };
 
 }  // namespace psph::serve

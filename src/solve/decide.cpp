@@ -200,8 +200,13 @@ DecideResult decide(const DecideRequest& raw, const EngineOptions& options,
   }
 
   if (store != nullptr && result.record.exhausted) {
-    store->save(decide_cache_key(request),
-                store::serialize_decision(result.record));
+    try {
+      store->save(decide_cache_key(request),
+                  store::serialize_decision(result.record));
+    } catch (const std::exception&) {
+      // A failed memo publish costs only a recompute next time; the
+      // verdict in hand is still the answer.
+    }
   }
   return result;
 }

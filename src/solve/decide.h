@@ -86,7 +86,7 @@ struct DecideResult {
 /// Decides the instance, store-first when `store` is non-null. A hit costs
 /// one load — no complex is built. On compute, the witness (when solvable)
 /// is independently re-verified against the protocol complex before the
-/// record is returned or cached.
+/// record is returned or cached; a failed publish leaves it uncached.
 DecideResult decide(const DecideRequest& request,
                     const EngineOptions& options = {},
                     store::ResultStore* store = nullptr);

@@ -183,8 +183,8 @@ void ResultStore::save(const CacheKeyBuilder& key,
   // makes them visible atomically, and the directory fsync makes the rename
   // itself durable. Readers see either no entry or the whole entry — even
   // across a power cut.
-  fs_->write_file(tmp_path, sealed.data(), sealed.size());
-  {
+  try {
+    fs_->write_file(tmp_path, sealed.data(), sealed.size());
     // Advisory cross-process serialization of the publish step: rename is
     // atomic on its own, but N daemons sharing one root would otherwise
     // interleave rename+dir-fsync pairs, leaving a window where a crash
@@ -193,6 +193,12 @@ void ResultStore::save(const CacheKeyBuilder& key,
     FileLock publish_lock(*fs_, root_ / "lock");
     fs_->rename(tmp_path, final_path);
     fs_->fsync_dir(final_path.parent_path());
+  } catch (...) {
+    // A failed write or rename leaves the temp file unpublished: remove it
+    // (best effort; after a successful rename there is nothing to remove).
+    std::error_code ignored;
+    fs::remove(tmp_path, ignored);
+    throw;
   }
   writes_.fetch_add(1, std::memory_order_relaxed);
   bytes_written_.fetch_add(sealed.size(), std::memory_order_relaxed);

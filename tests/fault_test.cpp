@@ -74,9 +74,10 @@ TEST(StoreFaults, FailedRenameThrowsAndLeavesNoEntry) {
       check::FaultPlan{.fail_renames = {0}});
   store::ResultStore store(dir.str(), faulty);
   EXPECT_THROW(store.save(test_key(2), test_bytes(2)), std::runtime_error);
-  // The temp file was written but never published.
+  // The temp file was written but never published, and it was removed.
   EXPECT_FALSE(fs::exists(store.entry_path(test_key(2).key())));
   EXPECT_FALSE(store.load(test_key(2)).has_value());
+  EXPECT_TRUE(fs::is_empty(fs::path(dir.str()) / "tmp"));
   // A later save of the same key succeeds and round-trips.
   store.save(test_key(2), test_bytes(2));
   EXPECT_EQ(store.load(test_key(2)), test_bytes(2));
@@ -318,6 +319,24 @@ TEST(DecisionFaults, EverySingleByteFlipIsRejectedOrHarmless) {
       // Rejected: the safe outcome.
     }
   }
+}
+
+TEST(DecisionFaults, FailedMemoSaveStillReturnsTheVerdict) {
+  TempDir dir;
+  auto faulty = std::make_shared<check::FaultyFsOps>(
+      check::FaultPlan{.fail_renames = {0}});
+  store::ResultStore store(dir.str(), faulty);
+  const solve::DecideRequest request{solve::Model::kAsync, 3, 1, 2, 0, 1};
+  // The verdict was decided; only its publication failed, which degrades
+  // to "not cached", never to an error.
+  solve::DecideResult faulted;
+  ASSERT_NO_THROW(faulted = solve::decide(request, {}, &store));
+  EXPECT_FALSE(faulted.cache_hit);
+  EXPECT_EQ(faulted.record, solve::decide(request, {}, nullptr).record);
+  EXPECT_TRUE(fs::is_empty(fs::path(dir.str()) / "tmp"));
+  // The next call computes again and publishes.
+  EXPECT_FALSE(solve::decide(request, {}, &store).cache_hit);
+  EXPECT_TRUE(solve::decide(request, {}, &store).cache_hit);
 }
 
 TEST(DecisionFaults, TamperedCacheEntryRecomputesNeverLies) {

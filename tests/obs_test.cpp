@@ -1,12 +1,14 @@
-// psph_obs unit tests: deterministic cross-thread aggregation, the
-// PSPH_OBS=0 gate, reset semantics, the per-thread event cap, and a
-// round-trip of the Chrome trace JSON through a minimal JSON parser.
+// psph_obs unit tests: deterministic cross-thread aggregation, snapshots
+// taken while other threads record, the PSPH_OBS=0 gate, reset semantics,
+// the per-thread event cap, and a round-trip of the Chrome trace JSON
+// through a minimal JSON parser.
 
 #include "obs/obs.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -295,6 +297,52 @@ TEST_F(ObsTest, GaugeMergesLastMinMaxAndMean) {
   EXPECT_DOUBLE_EQ(stat->min, 2.0);
   EXPECT_DOUBLE_EQ(stat->max, 10.0);
   EXPECT_DOUBLE_EQ(stat->sum, 16.0);
+}
+
+TEST_F(ObsTest, SnapshotWhileRecordingIsSafeAndExactAfterJoin) {
+  obs::Counter counter("obs_test.live_counter");
+  obs::Gauge gauge("obs_test.live_gauge");
+  constexpr int kWriters = 4;
+  constexpr int kRecordsPerWriter = 20000;
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      for (int i = 0; i < kRecordsPerWriter; ++i) {
+        obs::SpanTimer span("obs_test.live_span", t);
+        counter.add(1);
+        gauge.set(static_cast<double>(i));
+      }
+      running.fetch_sub(1);
+    });
+  }
+
+  // Snapshots taken while the writers record: each thread's cells are
+  // read under its lock, so the merged counter can only grow.
+  std::uint64_t last = 0;
+  int snapshots = 0;
+  do {
+    const obs::Snapshot live = obs::snapshot();
+    const obs::CounterStat* stat = find_counter(live, "obs_test.live_counter");
+    const std::uint64_t now = stat == nullptr ? 0 : stat->value;
+    EXPECT_GE(now, last);
+    last = now;
+    ++snapshots;
+  } while (running.load() > 0);
+  for (std::thread& writer : writers) writer.join();
+  EXPECT_GT(snapshots, 0);
+
+  const std::uint64_t total =
+      static_cast<std::uint64_t>(kWriters) * kRecordsPerWriter;
+  const obs::Snapshot done = obs::snapshot();
+  ASSERT_NE(find_counter(done, "obs_test.live_counter"), nullptr);
+  EXPECT_EQ(find_counter(done, "obs_test.live_counter")->value, total);
+  ASSERT_NE(find_span(done, "obs_test.live_span"), nullptr);
+  EXPECT_EQ(find_span(done, "obs_test.live_span")->count, total);
+  ASSERT_NE(find_gauge(done, "obs_test.live_gauge"), nullptr);
+  EXPECT_EQ(find_gauge(done, "obs_test.live_gauge")->samples, total);
+  EXPECT_DOUBLE_EQ(find_gauge(done, "obs_test.live_gauge")->max,
+                   kRecordsPerWriter - 1);
 }
 
 TEST_F(ObsTest, DisabledRecordsNothing) {

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -16,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/obs.h"
 #include "serve/client.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
@@ -263,8 +267,23 @@ TEST(Queries, OrbitBackendMatchesFullBackendValueForValue) {
 
 // -------------------------------------------------------------- server --
 
+/// Current value of an obs counter (0 when nothing was recorded).
+std::uint64_t counter_value(const char* name) {
+  for (const obs::CounterStat& stat : obs::snapshot().counters) {
+    if (stat.name == name) return stat.value;
+  }
+  return 0;
+}
+
+/// The daemon's counters live in the process-wide obs registry, so every
+/// server test starts from a clean, enabled recorder.
 class ServeTest : public ::testing::Test {
  protected:
+  void SetUp() override {
+    obs::set_enabled(true);
+    obs::reset();
+  }
+
   void StartServer(ServerOptions options = {}) {
     options.socket_path = (dir_.path / "serve.sock").string();
     if (options.store_dir.empty()) {
@@ -276,6 +295,7 @@ class ServeTest : public ::testing::Test {
 
   void TearDown() override {
     if (server_ != nullptr) server_->stop();
+    obs::set_enabled(true);
   }
 
   std::string socket_path() const { return (dir_.path / "serve.sock").string(); }
@@ -285,7 +305,13 @@ class ServeTest : public ::testing::Test {
   void WaitForQueueDepth(std::size_t depth) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (server_->stats().queue_depth < depth) {
+    const auto queue_depth = [] {
+      for (const obs::GaugeStat& stat : obs::snapshot().gauges) {
+        if (stat.name == "serve.queue_depth") return stat.last;
+      }
+      return 0.0;
+    };
+    while (queue_depth() < static_cast<double>(depth)) {
       ASSERT_LT(std::chrono::steady_clock::now(), deadline)
           << "queue never reached depth " << depth;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -413,10 +439,10 @@ TEST_F(ServeTest, IdenticalInFlightQueriesCoalesceIntoOneComputation) {
   }
   EXPECT_EQ(coalesced_responses, kClients - 1);
 
-  const ServeStats stats = server_->stats();
-  EXPECT_EQ(stats.computed, 1u);
-  EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(kClients - 1));
-  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(counter_value("serve.computed"), 1u);
+  EXPECT_EQ(counter_value("serve.coalesced"),
+            static_cast<std::uint64_t>(kClients - 1));
+  EXPECT_EQ(counter_value("serve.cache_hits"), 0u);
 }
 
 TEST_F(ServeTest, FullQueueRejectsWithTypedOverloadedError) {
@@ -453,7 +479,7 @@ TEST_F(ServeTest, FullQueueRejectsWithTypedOverloadedError) {
   }
   EXPECT_EQ(ok, 3);
   EXPECT_EQ(overloaded, 2);
-  EXPECT_EQ(server_->stats().overloaded, 2u);
+  EXPECT_EQ(counter_value("serve.overloaded"), 2u);
 }
 
 TEST_F(ServeTest, DeadlineExpiredWhileQueuedIsRejectedBeforeComputing) {
@@ -472,7 +498,7 @@ TEST_F(ServeTest, DeadlineExpiredWhileQueuedIsRejectedBeforeComputing) {
   ASSERT_FALSE(response.get("ok")->as_bool());
   EXPECT_EQ(response.get("error")->get("code")->as_string(),
             "deadline_exceeded");
-  EXPECT_EQ(server_->stats().computed, 0u);
+  EXPECT_EQ(counter_value("serve.computed"), 0u);
 }
 
 TEST_F(ServeTest, RunningComputationIsCancelledCooperatively) {
@@ -533,16 +559,153 @@ TEST_F(ServeTest, AdminRequestsAnswerInline) {
   const Json stats = client.call(Client::request(4, "stats"));
   ASSERT_TRUE(stats.get("ok")->as_bool());
   const Json* result = stats.get("result");
-  EXPECT_EQ(result->get("computed")->as_int(), 1);
-  EXPECT_EQ(result->get("store")->get("writes")->as_int(), 1);
-  EXPECT_EQ(result->get("store")->get("hits")->as_int(), 1);
-  EXPECT_GE(result->get("latency_us")->get("connectivity")->get("count")
+  EXPECT_TRUE(result->get("obs_enabled")->as_bool());
+  const Json* counters = result->get("counters");
+  EXPECT_EQ(counters->get("serve.computed")->as_int(), 1);
+  EXPECT_EQ(counters->get("serve.cache_hits")->as_int(), 1);
+  EXPECT_EQ(counters->get("store.writes")->as_int(), 1);
+  EXPECT_EQ(counters->get("store.hits")->as_int(), 1);
+  EXPECT_EQ(result->get("spans")->get("serve.latency.connectivity")
+                ->get("count")
                 ->as_int(),
             2);
+  EXPECT_EQ(result->get("gauges")->get("serve.in_flight")->get("last")
+                ->as_double(),
+            0.0);
 
   const Json bye = client.call(Client::request(5, "shutdown"));
   EXPECT_TRUE(bye.get("ok")->as_bool());
   EXPECT_TRUE(server_->wait_for_shutdown(/*poll_ms=*/5000));
+}
+
+TEST_F(ServeTest, StatsAnswerWhileQueriesAreInFlight) {
+  StartServer();
+  constexpr int kQueries = 200;
+  Client client(socket_path());
+  Json request = make_request(0, "connectivity", "async");
+  request.set("processes", Json::integer(3)).set("f", Json::integer(1));
+  server_->pause_dispatch();
+  for (int i = 1; i <= kQueries; ++i) {
+    client.send(request.set("id", Json::integer(i)));
+  }
+  WaitForQueueDepth(kQueries);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> probes{0};
+  std::atomic<int> regressions{0};
+  // A second connection polls `stats` while the first one's queries are
+  // queued and computing: the snapshot is read under each recording
+  // thread's lock, so the request counter it renders never goes backwards.
+  std::thread poller([&] {
+    try {
+      Client probe(socket_path());
+      std::int64_t last_requests = 0;
+      do {
+        const Json stats = probe.call(Client::request(probes + 1, "stats"));
+        const Json* result = stats.get("result");
+        const Json* counters =
+            result == nullptr ? nullptr : result->get("counters");
+        if (counters == nullptr) {
+          regressions.fetch_add(1);
+          return;
+        }
+        const Json* requests = counters->get("serve.requests");
+        const std::int64_t now = requests == nullptr ? 0 : requests->as_int();
+        if (now < last_requests) regressions.fetch_add(1);
+        last_requests = now;
+        probes.fetch_add(1);
+      } while (!done.load());
+    } catch (const std::exception&) {
+      regressions.fetch_add(1);
+    }
+  });
+  // The first probes are answered while all the queries sit queued.
+  while (probes.load() < 2 && regressions.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server_->resume_dispatch();
+
+  std::string body;
+  for (int i = 1; i <= kQueries; ++i) {
+    const Json response = client.recv();
+    ASSERT_TRUE(response.get("ok")->as_bool()) << response.dump();
+    if (body.empty()) body = response.get("result")->dump();
+    EXPECT_EQ(response.get("result")->dump(), body);
+  }
+  done.store(true);
+  poller.join();
+  EXPECT_GT(probes.load(), 0);
+  EXPECT_EQ(regressions.load(), 0);
+
+  // Every query was answered exactly once: computed by the first group,
+  // then read from the store or coalesced onto a group in its batch.
+  EXPECT_EQ(counter_value("serve.computed"), 1u);
+  EXPECT_EQ(counter_value("serve.computed") + counter_value("serve.cache_hits") +
+                counter_value("serve.coalesced"),
+            static_cast<std::uint64_t>(kQueries));
+  EXPECT_GE(counter_value("serve.requests"),
+            static_cast<std::uint64_t>(kQueries + probes.load()));
+  // serve.responses is bumped after each frame is written, so the last
+  // stats answer may not have counted itself yet.
+  EXPECT_GE(counter_value("serve.responses"),
+            static_cast<std::uint64_t>(kQueries));
+  const obs::Snapshot snap = obs::snapshot();
+  const auto latency =
+      std::find_if(snap.spans.begin(), snap.spans.end(), [](const auto& s) {
+        return s.name == "serve.latency.connectivity";
+      });
+  ASSERT_NE(latency, snap.spans.end());
+  EXPECT_EQ(latency->count, static_cast<std::uint64_t>(kQueries));
+}
+
+TEST_F(ServeTest, StatsAreEmptyWhenObsIsDisabled) {
+  obs::set_enabled(false);
+  StartServer();
+  Client client(socket_path());
+  Json request = make_request(1, "connectivity", "async");
+  request.set("processes", Json::integer(3)).set("f", Json::integer(1));
+  ASSERT_TRUE(client.call(request).get("ok")->as_bool());
+  const Json stats = client.call(Client::request(2, "stats"));
+  ASSERT_TRUE(stats.get("ok")->as_bool());
+  const Json* result = stats.get("result");
+  EXPECT_FALSE(result->get("obs_enabled")->as_bool());
+  EXPECT_TRUE(result->get("counters")->entries().empty());
+  EXPECT_TRUE(result->get("gauges")->entries().empty());
+  EXPECT_TRUE(result->get("spans")->entries().empty());
+}
+
+TEST_F(ServeTest, ListenerSurvivesRunningOutOfDescriptors) {
+  StartServer();
+  // Cap the process at one descriptor past the lowest free one: the
+  // client's socket takes that slot, so the listener's accept4 fails with
+  // EMFILE while the connection waits in the backlog.
+  rlimit original{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &original), 0);
+  const int lowest_free = ::dup(0);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit lowered = original;
+  lowered.rlim_cur = static_cast<rlim_t>(lowest_free) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  std::unique_ptr<Client> client;
+  try {
+    client = std::make_unique<Client>(socket_path());
+  } catch (...) {
+    ::setrlimit(RLIMIT_NOFILE, &original);
+    throw;
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &original), 0);
+
+  // Once descriptors are available again the queued connection is served.
+  client->send(Client::request(1, "ping"));
+  pollfd ready = {client->fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&ready, 1, /*timeout_ms=*/2000), 1)
+      << "no answer: the listener stopped accepting";
+  EXPECT_TRUE(client->recv().get("ok")->as_bool());
+  // And so is a fresh one.
+  Client again(socket_path());
+  EXPECT_TRUE(again.call(Client::request(2, "ping")).get("ok")->as_bool());
 }
 
 // ------------------------------------------------- malformed-input fuzz --
@@ -563,7 +726,7 @@ TEST_F(ServeTest, GarbagePayloadsGetTypedErrorsAndNeverWedgeTheConnection) {
   }
   // The connection still serves real queries afterwards.
   EXPECT_TRUE(client.call(Client::request(99, "ping")).get("ok")->as_bool());
-  EXPECT_EQ(server_->stats().internal_errors, 0u);
+  EXPECT_EQ(counter_value("serve.internal_errors"), 0u);
 }
 
 TEST_F(ServeTest, UnknownKindsAndBadShapesAreBadRequests) {
