@@ -430,10 +430,13 @@ void run_pipeline(
       });
     }
 
-    // REMAP, serially in frontier order. Overlay ids partition at the
-    // *pre-expansion* base sizes, which every overlay saw identically.
+    // REMAP. Interning runs serially in frontier order; overlay ids
+    // partition at the *pre-expansion* base sizes, which every overlay saw
+    // identically. Rewriting the produced facets through the resulting id
+    // maps touches no registry, so it runs per item in parallel.
     {
       obs::SpanTimer remap_span("construction.remap");
+      std::vector<std::vector<topology::VertexId>> vertex_maps(items.size());
       for (std::size_t j = 0; j < items.size(); ++j) {
         ScratchOut& out = scratch[j];
 
@@ -446,7 +449,8 @@ void run_pipeline(
           state_map[i] = views.intern_round(v.pid, v.round, std::move(v.heard));
         }
 
-        std::vector<topology::VertexId> vertex_map(out.new_vertices.size());
+        std::vector<topology::VertexId>& vertex_map = vertex_maps[j];
+        vertex_map.resize(out.new_vertices.size());
         for (std::size_t i = 0; i < out.new_vertices.size(); ++i) {
           const topology::VertexLabel& label = out.new_vertices[i];
           const StateId state =
@@ -456,8 +460,13 @@ void run_pipeline(
                                                        views_base)];
           vertex_map[i] = arena.intern(label.pid, state);
         }
+        out.new_views = {};
+        out.new_vertices = {};
+      }
 
-        for (detail::RoundGroup& group : out.groups) {
+      util::parallel_for(items.size(), [&](std::size_t j) {
+        const std::vector<topology::VertexId>& vertex_map = vertex_maps[j];
+        for (detail::RoundGroup& group : scratch[j].groups) {
           for (topology::Simplex& facet : group.facets) {
             std::vector<topology::VertexId> mapped;
             mapped.reserve(facet.vertices().size());
@@ -470,25 +479,26 @@ void run_pipeline(
             facet = topology::Simplex(std::move(mapped));
           }
         }
-      }
+      });
     }
 
     // CONSUME. Each item's remapped groups are used once and freed with the
-    // level.
+    // level. In full mode the final level's facets are gathered in
+    // item/group/facet order and adopted by one add_facets call, so the
+    // result's slot order is the order they were produced in.
     obs::SpanTimer consume_span("construction.consume");
+    std::vector<topology::Simplex> finals;
     for (std::size_t j = 0; j < items.size(); ++j) {
       const Params& params = items[j].params;
       std::vector<detail::RoundGroup>& groups = scratch[j].groups;
       if (Model::rounds(params) == 1) {
-        if (orbit != nullptr) {
-          for (const detail::RoundGroup& group : groups) {
-            for (const topology::Simplex& facet : group.facets) {
+        for (detail::RoundGroup& group : groups) {
+          for (topology::Simplex& facet : group.facets) {
+            if (orbit != nullptr) {
               orbit->add_final(facet);
+            } else {
+              finals.push_back(std::move(facet));
             }
-          }
-        } else {
-          for (detail::RoundGroup& group : groups) {
-            full_out->add_facets(std::move(group.facets));
           }
         }
       } else {
@@ -499,6 +509,11 @@ void run_pipeline(
           }
         }
       }
+    }
+    if (!finals.empty()) {
+      obs::SpanTimer adopt_span("construction.adopt",
+                                static_cast<std::int64_t>(finals.size()));
+      full_out->add_facets(std::move(finals));
     }
   }
 }

@@ -22,18 +22,28 @@
 //                 overlay storage with ids offset past the canonical sizes.
 //   3. REMAP    — a serial pass walks the items in frontier order and
 //                 interns each overlay's views and vertices into the
-//                 canonical registries in creation order, then rewrites the
-//                 produced facets through the resulting id maps. Because
-//                 both the frontier order and each overlay's creation order
-//                 are fixed by the model's enumeration order, canonical ids
+//                 canonical registries in creation order. Because both the
+//                 frontier order and each overlay's creation order are
+//                 fixed by the model's enumeration order, canonical ids
 //                 never depend on thread scheduling. (A new round's views
 //                 only ever reference canonical parent states, never each
-//                 other, so no heard-list rewriting is required.)
-//   4. CONSUME  — final-round items merge their facets into the result via
-//                 SimplicialComplex::add_facets (bulk fast lane); earlier
-//                 rounds enqueue children with the failure budget reduced
-//                 per adversary group. A level's expansions are dropped
-//                 once it has been consumed.
+//                 other, so no heard-list rewriting is required.) The
+//                 produced facets are then rewritten through each item's id
+//                 map in parallel — no interning, one item per task.
+//   4. CONSUME  — full mode: the final level's facets are gathered in
+//                 item/group/facet order and adopted by ONE
+//                 SimplicialComplex::add_facets call (span
+//                 construction.adopt): a pure level is deduplicated in one
+//                 flat table with the first occurrence kept, and the
+//                 result's facet index stays unbuilt until queried; a
+//                 non-pure level keeps add_facet's maximality rules. The
+//                 result's slot order (for_each_facet, hence compile_csp's
+//                 facet ids) is the production order minus duplicates and
+//                 dominated facets. Orbit mode canonicalizes each final
+//                 facet into the orbit table instead. Earlier rounds
+//                 enqueue children with the failure budget reduced per
+//                 adversary group. A level's expansions are dropped once it
+//                 has been consumed.
 //
 // DEDUPE makes every level's items unique, and items of different levels
 // never share states, so no expansion is ever repeated within a build.

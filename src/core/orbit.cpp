@@ -5,11 +5,16 @@
 #include <set>
 #include <stdexcept>
 
+#include "obs/obs.h"
 #include "topology/isomorphism.h"
 
 namespace psph::core {
 
 namespace {
+
+// Relabel-row cells allocated by every OrbitContext (orbit.h): |G| per
+// state or vertex that is relabeled under at least one element.
+obs::Counter g_obs_table_cells("construction.orbit_table_cells");
 
 template <typename K, typename V>
 V mapped_or_self(const std::vector<std::pair<K, V>>& table, K key) {
@@ -200,18 +205,41 @@ SymmetryGroup SymmetryGroup::for_input_complex(
   return group;
 }
 
+template <typename Image>
+Image OrbitContext::RelabelRows<Image>::find(std::size_t key, std::size_t g,
+                                             std::size_t width) const {
+  if (key >= row_of.size() || row_of[key] == kNoRow) return kUnset;
+  return cells[static_cast<std::size_t>(row_of[key]) * width + g];
+}
+
+template <typename Image>
+std::size_t OrbitContext::RelabelRows<Image>::store(std::size_t key,
+                                                    std::size_t g,
+                                                    std::size_t width,
+                                                    Image image) {
+  if (key >= row_of.size()) row_of.resize(key + 1, kNoRow);
+  std::size_t allocated = 0;
+  if (row_of[key] == kNoRow) {
+    const std::size_t row = cells.size() / width;
+    if (row >= kNoRow) {
+      throw std::length_error("OrbitContext: relabel row table is full");
+    }
+    row_of[key] = static_cast<std::uint32_t>(row);
+    cells.resize(cells.size() + width, kUnset);
+    allocated = width;
+  }
+  cells[static_cast<std::size_t>(row_of[key]) * width + g] = image;
+  return allocated;
+}
+
 OrbitContext::OrbitContext(SymmetryGroup group, ViewRegistry& views,
                            topology::VertexArena& arena)
-    : group_(std::move(group)),
-      views_(views),
-      arena_(arena),
-      memo_(group_.size()),
-      vertex_memo_(group_.size()) {}
+    : group_(std::move(group)), views_(views), arena_(arena) {}
 
 StateId OrbitContext::relabel_state(std::size_t element_index, StateId state) {
-  std::unordered_map<StateId, StateId>& memo = memo_[element_index];
-  const auto hit = memo.find(state);
-  if (hit != memo.end()) return hit->second;
+  const std::size_t width = group_.size();
+  const StateId hit = state_rows_.find(state, element_index, width);
+  if (hit != RelabelRows<StateId>::kUnset) return hit;
 
   const SymmetryElement& g = group_.element(element_index);
   const View& v = views_.view(state);
@@ -230,23 +258,24 @@ StateId OrbitContext::relabel_state(std::size_t element_index, StateId state) {
     }
     result = views_.intern_round(g.map_pid(v.pid), v.round, std::move(heard));
   }
-  memo.emplace(state, result);
+  g_obs_table_cells.add(
+      state_rows_.store(state, element_index, width, result));
   return result;
 }
 
 topology::VertexId OrbitContext::relabel_vertex(std::size_t element_index,
                                                 topology::VertexId vertex) {
-  std::vector<topology::VertexId>& memo = vertex_memo_[element_index];
-  if (vertex < memo.size() && memo[vertex] != topology::kInvalidVertex) {
-    return memo[vertex];
-  }
+  const std::size_t width = group_.size();
+  const topology::VertexId hit =
+      vertex_rows_.find(vertex, element_index, width);
+  if (hit != RelabelRows<topology::VertexId>::kUnset) return hit;
   const SymmetryElement& g = group_.element(element_index);
   const topology::ProcessId pid = arena_.pid(vertex);
   const StateId state = arena_.state(vertex);
   const topology::VertexId result =
       arena_.intern(g.map_pid(pid), relabel_state(element_index, state));
-  if (vertex >= memo.size()) memo.resize(vertex + 1, topology::kInvalidVertex);
-  memo[vertex] = result;
+  g_obs_table_cells.add(
+      vertex_rows_.store(vertex, element_index, width, result));
   return result;
 }
 

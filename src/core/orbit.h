@@ -21,8 +21,10 @@
 //     A facet's canonical form is the lexicographically least relabeled
 //     vertex vector over all g ∈ G, where relabeled views are hash-consed
 //     through the same ViewRegistry/VertexArena the pipeline builds in.
-//     Relabeling is memoized per (group element, StateId), so repeated
-//     canonicalizations amortize to hash lookups.
+//     Relabeling is memoized per (group element, state) and per (group
+//     element, vertex) in row tables: one row of |G| images per state or
+//     vertex that is actually relabeled, so repeated canonicalizations
+//     amortize to array reads and untouched ids cost one row index.
 //
 // Orbit sizes come from orbit–stabilizer: the number of g mapping a facet
 // to its canonical form is |Stab|, hence |orbit| = |G| / |Stab|. Because
@@ -30,8 +32,8 @@
 // group elements in enumeration order), orbit-mode output is bit-identical
 // across thread counts and across spill configurations.
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -136,15 +138,32 @@ class OrbitContext {
   std::uint64_t canonicalized() const { return canonicalized_; }
 
  private:
+  /// Relabel images stored one row per key: row_of[key] is the key's row
+  /// (kNoRow until the key is first relabeled) and cells[row * |G| + g] its
+  /// image under element g (`kUnset` until computed). Only keys that are
+  /// actually relabeled pay for |G| cells; every other key costs one row
+  /// index. Rows are never freed while the context lives.
+  template <typename Image>
+  struct RelabelRows {
+    static constexpr std::uint32_t kNoRow = 0xffffffffU;
+    static constexpr Image kUnset = static_cast<Image>(-1);
+
+    std::vector<std::uint32_t> row_of;
+    std::vector<Image> cells;
+
+    /// The memoized image, or kUnset.
+    Image find(std::size_t key, std::size_t g, std::size_t width) const;
+    /// Records image as key's image under g, allocating key's row first if
+    /// it has none; returns the number of cells allocated (0 or width).
+    std::size_t store(std::size_t key, std::size_t g, std::size_t width,
+                      Image image);
+  };
+
   SymmetryGroup group_;
   ViewRegistry& views_;
   topology::VertexArena& arena_;
-  /// memo_[g][state] = relabeled state; one map per group element.
-  std::vector<std::unordered_map<StateId, StateId>> memo_;
-  /// vertex_memo_[g][v] = relabeled vertex (kInvalidVertex = not yet
-  /// computed). VertexIds are dense arena indices, so a flat vector turns
-  /// the hot canonicalize path's per-vertex hash lookups into array reads.
-  std::vector<std::vector<topology::VertexId>> vertex_memo_;
+  RelabelRows<StateId> state_rows_;
+  RelabelRows<topology::VertexId> vertex_rows_;
   std::uint64_t canonicalized_ = 0;
 };
 

@@ -21,6 +21,7 @@ using Clock = std::chrono::steady_clock;
 
 // The daemon's only counters: the `stats` request renders obs::snapshot().
 obs::Counter g_connections("serve.connections");
+obs::Gauge g_connections_open("serve.connections_open");
 obs::Counter g_requests("serve.requests");
 obs::Counter g_responses("serve.responses");
 obs::Counter g_computed("serve.computed");      // unique jobs computed
@@ -138,17 +139,20 @@ void Server::stop() {
   // Let the in-flight batch finish delivering responses before the
   // connections go away: join the dispatcher first.
   if (dispatcher_.joinable()) dispatcher_.join();
+  // The listener is joined, so conns_ no longer grows; the connection
+  // threads only touch it to mark themselves finished.
   {
     std::lock_guard<std::mutex> lock(conns_mutex_);
-    for (const ConnPtr& conn : conns_) {
-      std::lock_guard<std::mutex> write_lock(conn->write_mutex);
-      if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
+    for (const ConnEntry& entry : conns_) {
+      std::lock_guard<std::mutex> write_lock(entry.conn->write_mutex);
+      if (entry.conn->fd >= 0) ::shutdown(entry.conn->fd, SHUT_RDWR);
     }
   }
-  for (std::thread& thread : conn_threads_) {
-    if (thread.joinable()) thread.join();
+  for (ConnEntry& entry : conns_) {
+    if (entry.thread.joinable()) entry.thread.join();
   }
-  for (const ConnPtr& conn : conns_) conn->close_fd();
+  for (const ConnEntry& entry : conns_) entry.conn->close_fd();
+  conns_.clear();
   ::close(wake_pipe_[0]);
   ::close(wake_pipe_[1]);
   wake_pipe_[0] = wake_pipe_[1] = -1;
@@ -211,9 +215,24 @@ void Server::listener_loop() {
     conn->fd = fd;
     g_connections.add();
     std::lock_guard<std::mutex> lock(conns_mutex_);
-    conns_.push_back(conn);
-    conn_threads_.emplace_back([this, conn] { connection_loop(conn); });
+    // Reap connections whose thread has finished: join it (it is past its
+    // last use of conns_mutex_) and drop the entry, so a long-lived daemon
+    // holds threads and stacks only for its open connections.
+    std::erase_if(conns_, [](ConnEntry& entry) {
+      if (!entry.conn->finished) return false;
+      entry.thread.join();
+      return true;
+    });
+    ++open_connections_;
+    g_connections_open.set(static_cast<double>(open_connections_));
+    conns_.push_back(
+        {conn, std::thread([this, conn] { connection_loop(conn); })});
   }
+}
+
+std::size_t Server::tracked_connections() {
+  std::lock_guard<std::mutex> lock(conns_mutex_);
+  return conns_.size();
 }
 
 void Server::connection_loop(ConnPtr conn) {
@@ -284,6 +303,10 @@ void Server::connection_loop(ConnPtr conn) {
     }
   }
   conn->close_fd();
+  std::lock_guard<std::mutex> lock(conns_mutex_);
+  --open_connections_;
+  g_connections_open.set(static_cast<double>(open_connections_));
+  conn->finished = true;
 }
 
 void Server::handle_admin(const ConnPtr& conn, const ParsedRequest& parsed) {

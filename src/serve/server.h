@@ -78,13 +78,25 @@ class Server {
 
   const ServerOptions& options() const { return options_; }
 
+  /// Test hook: connections whose thread the server still holds — the open
+  /// ones plus those finished since the last accept (the listener reaps
+  /// finished threads on each accept).
+  std::size_t tracked_connections();
+
  private:
   struct Connection {
     int fd = -1;
     std::mutex write_mutex;
+    /// Set (under conns_mutex_) as the connection's thread exits; the
+    /// listener then joins the thread and drops the entry.
+    bool finished = false;
     void close_fd();
   };
   using ConnPtr = std::shared_ptr<Connection>;
+  struct ConnEntry {
+    ConnPtr conn;
+    std::thread thread;
+  };
 
   struct Pending {
     ConnPtr conn;
@@ -116,8 +128,8 @@ class Server {
   bool stopping_ = false;
 
   std::mutex conns_mutex_;
-  std::vector<ConnPtr> conns_;
-  std::vector<std::thread> conn_threads_;
+  std::vector<ConnEntry> conns_;
+  std::size_t open_connections_ = 0;  // guarded by conns_mutex_
 
   std::thread listener_;
   std::thread dispatcher_;

@@ -13,15 +13,17 @@ SimplicialComplex::SimplicialComplex(const SimplicialComplex& other) {
 SimplicialComplex& SimplicialComplex::operator=(
     const SimplicialComplex& other) {
   if (this == &other) return *this;
-  // Lock the source's cache so copying while another thread lazily builds
-  // other's tables stays race-free; the destination mutex is fresh.
-  std::lock_guard<std::mutex> lock(other.face_cache_mutex_);
+  // Lock the source's lazy tables so copying while another thread builds
+  // them stays race-free; the destination mutexes are fresh.
+  std::scoped_lock lock(other.face_cache_mutex_, other.index_mutex_);
   slots_ = other.slots_;
   live_count_ = other.live_count_;
   min_facet_dim_ = other.min_facet_dim_;
   max_facet_dim_ = other.max_facet_dim_;
   by_vertex_ = other.by_vertex_;
   facet_set_ = other.facet_set_;
+  index_valid_.store(other.index_valid_.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
   face_cache_ = other.face_cache_;
   face_cache_valid_.store(
       other.face_cache_valid_.load(std::memory_order_relaxed),
@@ -43,6 +45,8 @@ SimplicialComplex& SimplicialComplex::operator=(
   max_facet_dim_ = other.max_facet_dim_;
   by_vertex_ = std::move(other.by_vertex_);
   facet_set_ = std::move(other.facet_set_);
+  index_valid_.store(other.index_valid_.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
   face_cache_ = std::move(other.face_cache_);
   face_cache_valid_.store(
       other.face_cache_valid_.load(std::memory_order_relaxed),
@@ -50,6 +54,9 @@ SimplicialComplex& SimplicialComplex::operator=(
   other.live_count_ = 0;
   other.min_facet_dim_ = std::numeric_limits<int>::max();
   other.max_facet_dim_ = -1;
+  other.by_vertex_.clear();
+  other.facet_set_.clear();
+  other.index_valid_.store(false, std::memory_order_relaxed);
   other.face_cache_valid_.store(false, std::memory_order_relaxed);
   return *this;
 }
@@ -58,6 +65,7 @@ void SimplicialComplex::add_facet(Simplex s) {
   if (s.empty()) {
     throw std::invalid_argument("add_facet: empty simplex");
   }
+  ensure_index();
   if (facet_set_.count(s) != 0) return;
   if (dominated(s)) return;
   invalidate_face_cache();
@@ -103,6 +111,7 @@ bool SimplicialComplex::dominated(const Simplex& s) const {
   // containment, i.e. equality, is handled by the facet_set_ hash lookups
   // at the call sites). A facet containing s must contain s's first vertex.
   if (max_facet_dim_ <= s.dimension()) return false;
+  ensure_index();
   const auto it = by_vertex_.find(s[0]);
   if (it == by_vertex_.end()) return false;
   for (std::size_t slot : it->second) {
@@ -115,9 +124,25 @@ bool SimplicialComplex::dominated(const Simplex& s) const {
   return false;
 }
 
+void SimplicialComplex::ensure_index() const {
+  if (index_valid_.load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> lock(index_mutex_);
+  if (index_valid_.load(std::memory_order_relaxed)) return;
+  facet_set_.reserve(live_count_);
+  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    const Simplex& facet = slots_[slot];
+    if (facet.empty()) continue;
+    facet_set_.insert(facet);
+    for (VertexId v : facet.vertices()) by_vertex_[v].push_back(slot);
+  }
+  index_valid_.store(true, std::memory_order_release);
+}
+
 void SimplicialComplex::reserve(std::size_t additional) {
   slots_.reserve(slots_.size() + additional);
-  facet_set_.reserve(facet_set_.size() + additional);
+  if (index_valid_.load(std::memory_order_relaxed)) {
+    facet_set_.reserve(facet_set_.size() + additional);
+  }
 }
 
 void SimplicialComplex::add_facets(std::vector<Simplex> facets) {
@@ -133,24 +158,56 @@ void SimplicialComplex::add_facets(std::vector<Simplex> facets) {
   if (batch_dim < 0 || !complex_compatible) {
     // Mixed dimensions somewhere: domination is possible, take the scanning
     // path facet by facet.
-    reserve(facets.size());
     for (Simplex& s : facets) add_facet(std::move(s));
     return;
   }
-  // Pure fast lane: every live facet and every incoming facet has dimension
+  // Pure lane: every live facet and every incoming facet has dimension
   // batch_dim, so no facet can strictly contain another — domination scans
   // are provably no-ops and only exact-duplicate detection remains.
   invalidate_face_cache();
-  reserve(facets.size());
-  for (Simplex& s : facets) {
-    if (!facet_set_.insert(s).second) continue;  // exact duplicate
-    const std::size_t slot = slots_.size();
-    for (VertexId v : s.vertices()) by_vertex_[v].push_back(slot);
-    slots_.push_back(std::move(s));
-    ++live_count_;
-  }
   min_facet_dim_ = batch_dim;
   max_facet_dim_ = batch_dim;
+  if (live_count_ != 0) {
+    ensure_index();
+    for (Simplex& s : facets) {
+      if (!facet_set_.insert(s).second) continue;  // exact duplicate
+      const std::size_t slot = slots_.size();
+      for (VertexId v : s.vertices()) by_vertex_[v].push_back(slot);
+      slots_.push_back(std::move(s));
+      ++live_count_;
+    }
+    return;
+  }
+
+  // Adopt into the empty complex (no slots: facets are only ever erased by
+  // a larger insertion, which stays live). Duplicates are found in one
+  // open-addressing table of slot numbers (linear probing, load <= 1/2);
+  // the first occurrence of each facet takes the next slot, so the slot
+  // order is the batch order minus later duplicates. The facet index is
+  // dropped and rebuilt over the slots by the first query that needs it.
+  facet_set_.clear();
+  by_vertex_.clear();
+  index_valid_.store(false, std::memory_order_relaxed);
+  std::size_t cap = 16;
+  while (cap < 2 * facets.size()) cap <<= 1;
+  constexpr std::size_t kEmpty = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> table(cap, kEmpty);
+  std::vector<std::uint64_t> slot_hash;
+  slot_hash.reserve(facets.size());
+  slots_.reserve(facets.size());
+  for (Simplex& s : facets) {
+    const std::uint64_t h = SimplexHash{}(s);
+    std::size_t at = h & (cap - 1);
+    while (table[at] != kEmpty &&
+           !(slot_hash[table[at]] == h && slots_[table[at]] == s)) {
+      at = (at + 1) & (cap - 1);
+    }
+    if (table[at] != kEmpty) continue;  // exact duplicate
+    table[at] = slots_.size();
+    slot_hash.push_back(h);
+    slots_.push_back(std::move(s));
+  }
+  live_count_ = slots_.size();
 }
 
 void SimplicialComplex::merge(const SimplicialComplex& other) {
@@ -183,6 +240,7 @@ void SimplicialComplex::for_each_facet(
 
 bool SimplicialComplex::contains(const Simplex& s) const {
   if (s.empty()) return !empty();
+  ensure_index();
   return dominated(s) || facet_set_.count(s) != 0;
 }
 
@@ -416,6 +474,7 @@ bool SimplicialComplex::is_pure() const {
 
 bool SimplicialComplex::operator==(const SimplicialComplex& other) const {
   if (live_count_ != other.live_count_) return false;
+  other.ensure_index();
   for (const Simplex& facet : slots_) {
     if (!facet.empty() && other.facet_set_.count(facet) == 0) return false;
   }

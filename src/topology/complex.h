@@ -10,12 +10,23 @@
 // Face queries (simplices_of_dim, count_of_dim, f_vector,
 // euler_characteristic, boundary matrices) all read one lazily built
 // per-dimension face table. The cache is invalidated by any mutation
-// (add_facet / merge), so references returned by simplices_of_dim /
-// face_index_of_dim are valid only until the next mutation. Concurrent
-// *const* access is safe: the lazy build is guarded by a mutex behind an
-// atomic validity flag (warm_face_cache() lets callers pay the build before
-// fanning out). Mutation requires external synchronization, as for standard
-// containers.
+// (add_facet / add_facets / merge), so references returned by
+// simplices_of_dim / face_index_of_dim are valid only until the next
+// mutation.
+//
+// The facet index — the exact-facet hash set and the vertex -> slot lists
+// that add_facet's domination scans and contains() read — is lazy too. It
+// is built from the slots on the first add_facet, contains, domination
+// query or operator== (as the right-hand side), then kept current by
+// add_facet. add_facets into an empty complex adopts the batch
+// without it, so a complex that is only built in bulk and then read through
+// for_each_facet / face queries (every protocol complex the construction
+// pipeline returns) never pays for the index.
+//
+// Concurrent *const* access is safe: each lazy build is guarded by its own
+// mutex behind an atomic validity flag (warm_face_cache() lets callers pay
+// the face-table build before fanning out). Mutation requires external
+// synchronization, as for standard containers.
 
 #include <atomic>
 #include <cstddef>
@@ -45,15 +56,23 @@ class SimplicialComplex {
   /// Inserting the empty simplex is rejected.
   void add_facet(Simplex s);
 
-  /// Inserts a batch of candidate facets, equivalent to add_facet in a
-  /// loop. When every incoming facet has one dimension d and the complex is
-  /// empty or pure of the same dimension (the common case when unioning
-  /// pseudospheres), insertion takes a fast lane that skips the per-facet
-  /// domination scans entirely — only the exact-duplicate hash check
-  /// remains. Mixed-dimension batches fall back to add_facet per facet.
+  /// The bulk entry point: inserts a batch of candidate facets, equivalent
+  /// to add_facet in a loop — same surviving facets, same slot order. When
+  /// every incoming facet has one dimension d and the complex is empty or
+  /// pure of the same dimension (pseudosphere unions, the construction
+  /// pipeline's final level), no facet can strictly contain another, so
+  /// only exact duplicates are dropped (the first occurrence stays):
+  ///   * into an empty complex the batch is adopted directly — duplicates
+  ///     are found with one flat table sized for the whole batch and the
+  ///     facet index is left unbuilt;
+  ///   * into a non-empty complex each facet is checked against the facet
+  ///     index, which grows geometrically, never re-sized per batch.
+  /// Mixed-dimension batches, or batches whose dimension differs from the
+  /// complex's, take add_facet per facet (domination scans included).
   void add_facets(std::vector<Simplex> facets);
 
-  /// Pre-sizes the facet tables for `additional` more facets.
+  /// Pre-sizes the facet tables for `additional` more facets (the facet
+  /// index only if it is built).
   void reserve(std::size_t additional);
 
   /// Inserts every facet of `other`.
@@ -70,7 +89,8 @@ class SimplicialComplex {
   /// Snapshot of the current facets in deterministic (sorted) order.
   std::vector<Simplex> facets() const;
 
-  /// Calls `fn` for each facet (unspecified order, no allocation of a copy).
+  /// Calls `fn` for each facet in slot (insertion) order, skipping facets
+  /// that a later insertion dominated. No copy is allocated.
   void for_each_facet(const std::function<void(const Simplex&)>& fn) const;
 
   /// True if `s` is a face of some facet. The empty simplex is contained in
@@ -140,8 +160,6 @@ class SimplicialComplex {
   std::string to_string() const;
 
  private:
-  friend class FacetIndex;
-
   // One dimension's slice of the face lattice: the sorted d-simplex list,
   // the rank of each simplex in it (boundary-operator row/col ids), and the
   // flattened codim-1 face links ((d+1) row indices per face, omit order).
@@ -152,6 +170,7 @@ class SimplicialComplex {
   };
 
   bool dominated(const Simplex& s) const;
+  void ensure_index() const;
   void invalidate_face_cache();
   void build_face_cache() const;
   const FaceTable* face_table(int d) const;
@@ -166,10 +185,14 @@ class SimplicialComplex {
   // (never shrunk on removal).
   int min_facet_dim_ = std::numeric_limits<int>::max();
   int max_facet_dim_ = -1;
-  // vertex -> slot indices of live facets containing it (may contain stale
-  // slot references which are skipped on read).
-  std::unordered_map<VertexId, std::vector<std::size_t>> by_vertex_;
-  std::unordered_set<Simplex, SimplexHash> facet_set_;
+  // The facet index (lazy; see the header comment). by_vertex_: vertex ->
+  // slot indices of live facets containing it (may contain stale slot
+  // references, skipped on read). facet_set_: the live facets. Both are
+  // empty while index_valid_ is false.
+  mutable std::unordered_map<VertexId, std::vector<std::size_t>> by_vertex_;
+  mutable std::unordered_set<Simplex, SimplexHash> facet_set_;
+  mutable std::atomic<bool> index_valid_{false};
+  mutable std::mutex index_mutex_;
 
   // Lazily built face lattice, entry d = FaceTable for the d-simplexes.
   // Double-checked: readers take the mutex only while the flag is false.

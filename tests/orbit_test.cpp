@@ -12,15 +12,18 @@
 #include <cstdint>
 #include <filesystem>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/construction.h"
 #include "core/pseudosphere.h"
 #include "core/theorems.h"
+#include "solve/decide.h"
 #include "store/frontier.h"
 #include "store/fs_ops.h"
 #include "store/serialize.h"
 #include "topology/homology.h"
+#include "util/parallel.h"
 
 namespace {
 
@@ -357,6 +360,225 @@ TEST(FrontierSpillTest, CorruptSpilledChunkFailsLoudly) {
 
   EXPECT_THROW(spool.read_chunk(0), store::SerializationError);
   std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------- golden construction digests ----
+
+// Digests of everything a construction change must not move: the view
+// registry and vertex arena in id order (interning order), the facet slot
+// order for_each_facet walks (compile_csp's facet ids), the orbit records,
+// and a compiled CSP's facet list. The pinned values were computed before
+// the orbit relabel tables moved to rows and CONSUME became one bulk adopt,
+// and each is checked at 1 and 4 threads.
+
+/// FNV-1a over 64-bit words.
+class Digest {
+ public:
+  void add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      state_ ^= (word >> (8 * i)) & 0xff;
+      state_ *= 0x100000001b3ull;
+    }
+  }
+  void add(const std::string& text) {
+    add(text.size());
+    for (const char c : text) add(static_cast<std::uint64_t>(c));
+  }
+  void add(const std::vector<topology::VertexId>& vertices) {
+    add(vertices.size());
+    for (const topology::VertexId v : vertices) add(v);
+  }
+  std::uint64_t value() const { return state_; }
+
+ private:
+  std::uint64_t state_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t registry_digest(const core::ViewRegistry& views,
+                              const topology::VertexArena& arena) {
+  Digest d;
+  d.add(views.size());
+  for (topology::StateId id = 0; id < views.size(); ++id) {
+    d.add(views.to_string(id));
+  }
+  d.add(arena.size());
+  for (topology::VertexId id = 0; id < arena.size(); ++id) {
+    d.add(static_cast<std::uint64_t>(arena.pid(id)));
+    d.add(arena.state(id));
+  }
+  return d.value();
+}
+
+std::uint64_t slot_order_digest(const topology::SimplicialComplex& k) {
+  Digest d;
+  d.add(k.facet_count());
+  k.for_each_facet(
+      [&](const topology::Simplex& facet) { d.add(facet.vertices()); });
+  return d.value();
+}
+
+std::uint64_t orbit_digest(const core::OrbitComplexResult& result) {
+  Digest d;
+  d.add(result.orbits.size());
+  for (const core::OrbitRecord& rec : result.orbits) {
+    d.add(rec.rep.vertices());
+    d.add(rec.stabilizer);
+    d.add(rec.dominated ? 1 : 0);
+  }
+  d.add(result.full_facet_count);
+  d.add(slot_order_digest(result.reduced));
+  return d.value();
+}
+
+/// Runs `body` at 1 and 4 threads, restoring the caller's count.
+template <typename Body>
+void at_one_and_four_threads(const Body& body) {
+  const int previous = util::thread_count();
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::set_thread_count(threads);
+    body();
+  }
+  util::set_thread_count(previous);
+}
+
+struct FullDigest {
+  std::uint64_t registry;
+  std::uint64_t slots;
+};
+
+template <typename Build>
+FullDigest full_digest(int participants, const Build& build) {
+  core::ViewRegistry views;
+  topology::VertexArena arena;
+  const topology::Simplex input =
+      core::rainbow_input(participants, views, arena);
+  const topology::SimplicialComplex k = build(input, views, arena);
+  return {registry_digest(views, arena), slot_order_digest(k)};
+}
+
+TEST(GoldenDigestTest, FullBuildsKeepIdsAndSlotOrder) {
+  at_one_and_four_threads([] {
+    const FullDigest async = full_digest(
+        3, [](const topology::Simplex& input, core::ViewRegistry& views,
+              topology::VertexArena& arena) {
+          return core::async_protocol_complex(input, {3, 1, 2}, views, arena);
+        });
+    EXPECT_EQ(async.registry, 7981914820995775589u);
+    EXPECT_EQ(async.slots, 18343472888684747362u);
+    const FullDigest sync = full_digest(
+        4, [](const topology::Simplex& input, core::ViewRegistry& views,
+              topology::VertexArena& arena) {
+          return core::sync_protocol_complex(input, {4, 2, 1, 2}, views,
+                                             arena);
+        });
+    EXPECT_EQ(sync.registry, 10899275503564295269u);
+    EXPECT_EQ(sync.slots, 10789335970218037669u);
+    const FullDigest semisync = full_digest(
+        3, [](const topology::Simplex& input, core::ViewRegistry& views,
+              topology::VertexArena& arena) {
+          return core::semisync_protocol_complex(input, {3, 2, 1, 2, 2}, views,
+                                                 arena);
+        });
+    EXPECT_EQ(semisync.registry, 2510375927883217556u);
+    EXPECT_EQ(semisync.slots, 13427416147920618702u);
+    const FullDigest iis = full_digest(
+        3, [](const topology::Simplex& input, core::ViewRegistry& views,
+              topology::VertexArena& arena) {
+          return core::iis_protocol_complex(input, 2, views, arena);
+        });
+    EXPECT_EQ(iis.registry, 2840830626158325467u);
+    EXPECT_EQ(iis.slots, 6448914446938277605u);
+  });
+}
+
+struct OrbitDigest {
+  std::uint64_t orbits;
+  std::uint64_t registry;
+  /// The full f-vector, the reconstituted complex's slot order and the
+  /// registry after both.
+  std::uint64_t reconstituted;
+};
+
+template <typename Build>
+OrbitDigest orbit_build_digest(int participants, const Build& build) {
+  core::ViewRegistry views;
+  topology::VertexArena arena;
+  const topology::Simplex input =
+      core::rainbow_input(participants, views, arena);
+  const core::OrbitComplexResult result = build(input, views, arena);
+  OrbitDigest out{orbit_digest(result), registry_digest(views, arena), 0};
+  Digest d;
+  for (const std::size_t count :
+       core::orbit_full_f_vector(result, views, arena)) {
+    d.add(count);
+  }
+  d.add(slot_order_digest(core::reconstitute_full(result, views, arena)));
+  d.add(registry_digest(views, arena));
+  out.reconstituted = d.value();
+  return out;
+}
+
+TEST(GoldenDigestTest, OrbitBuildsKeepRepsStabilizersAndIds) {
+  at_one_and_four_threads([] {
+    const OrbitDigest async = orbit_build_digest(
+        4, [](const topology::Simplex& input, core::ViewRegistry& views,
+              topology::VertexArena& arena) {
+          return core::async_protocol_complex_orbit(input, {4, 1, 1}, views,
+                                                    arena);
+        });
+    EXPECT_EQ(async.orbits, 6422606302969521843u);
+    EXPECT_EQ(async.registry, 1162724637289214821u);
+    EXPECT_EQ(async.reconstituted, 6787654437375912173u);
+    const OrbitDigest sync = orbit_build_digest(
+        4, [](const topology::Simplex& input, core::ViewRegistry& views,
+              topology::VertexArena& arena) {
+          return core::sync_protocol_complex_orbit(input, {4, 2, 1, 2}, views,
+                                                   arena);
+        });
+    EXPECT_EQ(sync.orbits, 6830125717145203910u);
+    EXPECT_EQ(sync.registry, 14547796142027967589u);
+    EXPECT_EQ(sync.reconstituted, 7986320065542475187u);
+    // The perfbench semisync instance one size down: total failures
+    // rounds * k, as the serving layer sets them.
+    const OrbitDigest semisync = orbit_build_digest(
+        4, [](const topology::Simplex& input, core::ViewRegistry& views,
+              topology::VertexArena& arena) {
+          return core::semisync_protocol_complex_orbit(input, {4, 2, 1, 2, 2},
+                                                       views, arena);
+        });
+    EXPECT_EQ(semisync.orbits, 3151964354957533239u);
+    EXPECT_EQ(semisync.registry, 1032183797552778669u);
+    EXPECT_EQ(semisync.reconstituted, 11942690916288389491u);
+    const OrbitDigest iis = orbit_build_digest(
+        3, [](const topology::Simplex& input, core::ViewRegistry& views,
+              topology::VertexArena& arena) {
+          return core::iis_protocol_complex_orbit(input, 2, views, arena);
+        });
+    EXPECT_EQ(iis.orbits, 3326006253789827539u);
+    EXPECT_EQ(iis.registry, 3030255485613936699u);
+    EXPECT_EQ(iis.reconstituted, 11751674556256462730u);
+  });
+}
+
+TEST(GoldenDigestTest, CompiledCspFacetListIsPinned) {
+  at_one_and_four_threads([] {
+    // sync n+1 = 3, f = 1, k = 1, r = 2: a non-pure final level.
+    const std::unique_ptr<solve::Instance> instance =
+        solve::build_instance({solve::Model::kSync, 3, 1, 1, 0, 2});
+    const solve::CspProblem& problem = instance->problem;
+    Digest facets;
+    facets.add(problem.facets.size());
+    for (const std::vector<int>& facet : problem.facets) {
+      facets.add(facet.size());
+      for (const int v : facet) facets.add(static_cast<std::uint64_t>(v));
+    }
+    Digest vertices;
+    vertices.add(problem.vertex_ids);
+    EXPECT_EQ(facets.value(), 16468171008751976777u);
+    EXPECT_EQ(vertices.value(), 11491990937866369413u);
+    EXPECT_EQ(problem.group_order(), 12u);
+  });
 }
 
 }  // namespace

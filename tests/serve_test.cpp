@@ -708,6 +708,39 @@ TEST_F(ServeTest, ListenerSurvivesRunningOutOfDescriptors) {
   EXPECT_TRUE(again.call(Client::request(2, "ping")).get("ok")->as_bool());
 }
 
+TEST_F(ServeTest, FinishedConnectionsAreReapedOnAccept) {
+  StartServer();
+  const auto open_connections = [] {
+    for (const obs::GaugeStat& stat : obs::snapshot().gauges) {
+      if (stat.name == "serve.connections_open") return stat.last;
+    }
+    return -1.0;
+  };
+  // Sequential ping-and-close clients: each closes before the next opens.
+  constexpr int kConnections = 300;
+  for (int i = 0; i < kConnections; ++i) {
+    Client client(socket_path());
+    ASSERT_TRUE(client.call(Client::request(i, "ping")).get("ok")->as_bool());
+  }
+  // The last connection's thread finishes once it reads the close.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (open_connections() != 0.0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "serve.connections_open stuck at " << open_connections();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(counter_value("serve.connections"),
+            static_cast<std::uint64_t>(kConnections));
+
+  // Every connection has finished, so the next accept reaps them all: the
+  // server then holds exactly the one open connection, not 301 threads.
+  Client fresh(socket_path());
+  EXPECT_TRUE(fresh.call(Client::request(1, "ping")).get("ok")->as_bool());
+  EXPECT_EQ(server_->tracked_connections(), 1u);
+  EXPECT_EQ(open_connections(), 1.0);
+}
+
 // ------------------------------------------------- malformed-input fuzz --
 
 TEST_F(ServeTest, GarbagePayloadsGetTypedErrorsAndNeverWedgeTheConnection) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "topology/arena.h"
@@ -152,6 +153,65 @@ TEST(Complex, AddFacetsInvalidatesFaceCache) {
   k.add_facets({Simplex{2, 3, 4}});  // fast lane must still invalidate
   EXPECT_EQ(k.count_of_dim(1), 5u);
   EXPECT_EQ(k.count_of_dim(2), 2u);
+}
+
+/// Facets in the order for_each_facet walks them (the slot order).
+std::vector<Simplex> slot_order(const SimplicialComplex& k) {
+  std::vector<Simplex> out;
+  k.for_each_facet([&](const Simplex& facet) { out.push_back(facet); });
+  return out;
+}
+
+TEST(Complex, BulkAdoptKeepsTheSlotOrderOfAnAddFacetLoop) {
+  // A large pure batch with repeats (the adopt lane), then a pure batch
+  // into the non-empty complex, then a mixed batch.
+  util::Rng rng(20261020);
+  std::vector<std::vector<Simplex>> batches(3);
+  for (int i = 0; i < 3000; ++i) {
+    std::set<VertexId> vs;
+    while (vs.size() < 3) vs.insert(static_cast<VertexId>(rng.next_below(40)));
+    batches[0].emplace_back(std::vector<VertexId>(vs.begin(), vs.end()));
+  }
+  batches[1] = {batches[0][5], Simplex{50, 51, 52}, batches[0][7]};
+  batches[2] = {Simplex{60, 61}, Simplex{1, 2, 3, 4}, batches[0][0]};
+  SimplicialComplex bulk;
+  SimplicialComplex loop;
+  for (const std::vector<Simplex>& batch : batches) {
+    bulk.add_facets(batch);
+    for (const Simplex& s : batch) loop.add_facet(s);
+    EXPECT_EQ(slot_order(bulk), slot_order(loop));
+  }
+  EXPECT_LT(bulk.facet_count(), 3000u);  // the draw repeats facets
+}
+
+TEST(Complex, LazyFacetIndexIsSafeUnderConcurrentQueries) {
+  // An adopted complex has no facet index until the first query; several
+  // threads race to build it through the const accessors.
+  std::vector<Simplex> facets;
+  for (VertexId v = 0; v < 2000; ++v) facets.push_back(Simplex{v, v + 1, v + 2});
+  SimplicialComplex k;
+  k.add_facets(facets);
+  const SimplicialComplex copy = k;
+  std::vector<int> found(4, 0);
+  std::vector<int> equal(4, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (VertexId v = 0; v < 2000; v += 7) {
+        found[t] += k.contains(Simplex{v + 1, v + 2}) ? 1 : 0;
+        found[t] += k.contains(Simplex{v, v + 2, v + 4}) ? 1 : 0;
+      }
+      equal[t] = (copy == k && k.is_subcomplex_of(copy)) ? 1 : 0;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < 4; ++t) {
+    EXPECT_EQ(found[t], 286);  // every edge is in; no {v, v+2, v+4} is
+    EXPECT_EQ(equal[t], 1);
+  }
+  // add_facet after the lazy build keeps maximality.
+  k.add_facet(Simplex{0, 1, 2, 3});
+  EXPECT_EQ(k.facet_count(), 1999u);
 }
 
 TEST(Complex, ContainsFaces) {
